@@ -17,7 +17,6 @@ from cellbranch import (
     build_cluster_split,
     classify_regime,
     expected_log_inverse_p,
-    mixed_log_mean,
     uniform_grid_p,
 )
 
@@ -29,7 +28,7 @@ law = env.components[0][0]
 for pair, prob in law.support:
     print(f"  P(daughter0={pair[0]}, daughter1={pair[1]}) = {prob:.4f}")
 print(f"  marginal means: {law.m0:.2f} / {law.m1:.2f}")
-print(f"  mixed log growth rate: {mixed_log_mean(env):+.4f}  (exactly critical)")
+print(f"  mixed log growth rate: {env.mixed_log_mean():+.4f}  (exactly critical)")
 
 print("\n== whole broods migrating together ==")
 cluster = build_cluster_split(FiniteLaw.delta(2), [(0.5, 1.0)])

@@ -22,9 +22,6 @@ from .laws import (
     build_cluster_split,
     classify_regime,
     expected_log_inverse_p,
-    mixed_log_mean,
-    sample_environment,
-    sample_offspring_pair,
     uniform_grid_p,
 )
 from .lineage import (
@@ -43,7 +40,6 @@ from .lineage import (
     step,
 )
 from .oracle import (
-    NoConvergence,
     NonConvergent,
     PmfVector,
     RenewalLimit,
@@ -77,7 +73,6 @@ from .tree import (
     growth_exponent,
     infected_fraction_series,
     iter_forest_bfs,
-    iter_forest_infected,
     prefix_ledgers,
     simulate_parasite_totals,
     simulate_tree_bfs,

@@ -374,16 +374,6 @@ class EnvironmentLaw:
         return list(acc.values())
 
 
-def sample_environment(env: EnvironmentLaw, rng: np.random.Generator) -> BivariateOffspringLaw:
-    """Draw one realized offspring mechanism from the environment mixture."""
-    return env.sample(rng)
-
-
-def sample_offspring_pair(law: BivariateOffspringLaw, rng: np.random.Generator) -> tuple[int, int]:
-    """Draw one parasite's offspring pair (daughter-0 count, daughter-1 count)."""
-    return law.sample_pair(rng)
-
-
 def build_binomial_split(
     z_law: FiniteLaw, p_values: Sequence[tuple[float, float]]
 ) -> EnvironmentLaw:
@@ -440,10 +430,6 @@ def expected_log_inverse_p(p_values: Sequence[tuple[float, float]]) -> float:
     return sum(-w * math.log(p) for p, w in p_values)
 
 
-def mixed_log_mean(env: EnvironmentLaw) -> float:
-    return env.mixed_log_mean()
-
-
 class Regime(Enum):
     SUBCRITICAL = "subcritical"
     CRITICAL = "critical"
@@ -465,20 +451,13 @@ class ImmigrationPair:
     0 < P(Y0 = 0) < 1 and P(Y1 = 0) > 0, or are the zero pair (no
     contamination at all).  ``require_contamination_condition=False`` opts out
     for plain immigration experiments that never revisit the empty state.
-
-    ``infected_threshold`` is reserved for contamination that keys on "fewer
-    than t parasites" rather than "none"; only the t=1 dichotomy is
-    implemented.
     """
 
     y0: CountLaw
     y1: CountLaw
-    infected_threshold: int = 1
     require_contamination_condition: bool = True
 
     def __post_init__(self):
-        if self.infected_threshold != 1:
-            raise NotImplementedError("only the infected/uninfected dichotomy is supported")
         if not self.require_contamination_condition:
             return
         if self.is_zero_pair:
@@ -509,7 +488,7 @@ class ImmigrationPair:
         )
 
     def law_for_state(self, state: int) -> CountLaw:
-        return self.y0 if state < self.infected_threshold else self.y1
+        return self.y0 if state == 0 else self.y1
 
 
 def classify_regime(env: EnvironmentLaw, imm: ImmigrationPair) -> RegimeReport:

@@ -284,65 +284,36 @@ def simulate_coupled_pair(
 # Vectorized batch runners
 
 
-class _PreparedEnvironment:
-    """Flattened (component, side) marginals for grouped vector sampling."""
-
-    def __init__(self, env: EnvironmentLaw):
-        self.component_cum = np.cumsum(env.weights)
-        self.marginals = []
-        for law, _ in env.components:
-            per_side = []
-            for side in (0, 1):
-                m = law.marginal(side)
-                per_side.append((m._vals_arr, m._probs_arr, m.mean))
-            self.marginals.append(per_side)
-
-
-def _grouped_multinomial_sums(
-    rng: np.random.Generator, n: np.ndarray, values: np.ndarray, probs: np.ndarray
-) -> np.ndarray:
-    """Sum of n[i] i.i.d. draws from a finite law, per row, exactly."""
-    return multinomial_counts(rng, n, probs) @ values
-
-
-def _sample_immigration(law, rng: np.random.Generator, size: int) -> np.ndarray:
-    if size == 0:
-        return np.empty(0, dtype=np.int64)
-    return law.sample_many(rng, size).astype(np.int64)
-
-
 def batch_step(
     states: np.ndarray,
-    prep: _PreparedEnvironment,
+    env: EnvironmentLaw,
     imm: ImmigrationPair,
     rng: np.random.Generator,
     log_means_out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Advance every path one division; optionally records log realized means."""
     n_paths = len(states)
-    comps = np.minimum(
-        np.searchsorted(prep.component_cum, rng.random(n_paths), side="right"),
-        len(prep.component_cum) - 1,
-    )
+    comps = env.sample_indices(rng, n_paths)
     sides = rng.integers(0, 2, size=n_paths)
     offspring = np.zeros(n_paths, dtype=np.int64)
-    for ci, per_side in enumerate(prep.marginals):
+    for ci, (law, _) in enumerate(env.components):
         for side in (0, 1):
             mask = (comps == ci) & (sides == side)
             if not mask.any():
                 continue
-            values, probs, mean = per_side[side]
+            marginal = law.marginal(side)
             x = states[mask]
             if np.any(x > 0):
-                offspring[mask] = _grouped_multinomial_sums(rng, x, values, probs)
+                counts = multinomial_counts(rng, x, marginal._probs_arr)
+                offspring[mask] = counts @ marginal._vals_arr
             if log_means_out is not None:
-                if mean <= 0.0:
+                if marginal.mean <= 0.0:
                     raise DegenerateMarginal("normalized batch needs positive realized means")
-                log_means_out[mask] = math.log(mean)
+                log_means_out[mask] = math.log(marginal.mean)
     was_zero = states == 0
     immigration = np.zeros(n_paths, dtype=np.int64)
-    immigration[was_zero] = _sample_immigration(imm.y0, rng, int(was_zero.sum()))
-    immigration[~was_zero] = _sample_immigration(imm.y1, rng, int((~was_zero).sum()))
+    immigration[was_zero] = imm.y0.sample_many(rng, int(was_zero.sum()))
+    immigration[~was_zero] = imm.y1.sample_many(rng, int((~was_zero).sum()))
     return np.minimum(offspring + immigration, BATCH_STATE_CAP)
 
 
@@ -355,7 +326,6 @@ def simulate_states_batch(
     checkpoints: list[int],
 ) -> dict[int, np.ndarray]:
     """Many independent paths at once; returns states at each checkpoint."""
-    prep = _PreparedEnvironment(env)
     states = np.full(n_paths, k0, dtype=np.int64)
     wanted = sorted(set(checkpoints))
     out: dict[int, np.ndarray] = {}
@@ -363,7 +333,7 @@ def simulate_states_batch(
         out[0] = states.copy()
         wanted = wanted[1:]
     for t in range(1, (wanted[-1] if wanted else 0) + 1):
-        states = batch_step(states, prep, imm, rng)
+        states = batch_step(states, env, imm, rng)
         if wanted and t == wanted[0]:
             out[t] = states.copy()
             wanted = wanted[1:]
@@ -379,7 +349,6 @@ def simulate_normalized_batch(
     checkpoints: list[int],
 ) -> dict[int, np.ndarray]:
     """Mean-normalized populations at each checkpoint, across many paths."""
-    prep = _PreparedEnvironment(env)
     states = np.full(n_paths, k0, dtype=np.int64)
     log_pi = np.zeros(n_paths)
     step_logs = np.empty(n_paths)
@@ -389,7 +358,7 @@ def simulate_normalized_batch(
         out[0] = states.astype(float)
         wanted = wanted[1:]
     for t in range(1, (wanted[-1] if wanted else 0) + 1):
-        states = batch_step(states, prep, imm, rng, log_means_out=step_logs)
+        states = batch_step(states, env, imm, rng, log_means_out=step_logs)
         log_pi += step_logs
         if wanted and t == wanted[0]:
             out[t] = states * np.exp(-log_pi)

@@ -31,11 +31,12 @@ class TruncationTooSmall(ValueError):
 
 
 class NonConvergent(RuntimeError):
-    """A summed series still carries too much mass at its cap."""
+    """An iterative oracle missed its tolerance within its budget.
 
-
-class NoConvergence(RuntimeError):
-    """Power iteration failed to reach the requested fixed-point tolerance."""
+    Raised when a summed series (``renewal_limit``) still carries too much
+    mass at its cap, and when power iteration (``stationary_solve``) stalls
+    above its fixed-point tolerance after ``max_iterations`` rounds.
+    """
 
 
 @dataclass(frozen=True)
@@ -260,7 +261,7 @@ def stationary_solve(
         if diff < tol:
             break
     else:
-        raise NoConvergence(f"power iteration stalled above {tol} after {max_iterations} rounds")
+        raise NonConvergent(f"power iteration stalled above {tol} after {max_iterations} rounds")
 
     # Excursion route: expected visits to each state before returning to zero.
     Q = kernel.matrix[1:, 1:]

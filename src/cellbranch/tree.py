@@ -10,9 +10,10 @@ otherwise.
 Two traversals cover the practical depth range.  The breadth-first simulator
 advances whole generations as arrays and keeps a ledger per generation; runs
 with zero contamination track only infected cells (parasite-free cells stay
-parasite-free forever, exactly).  The depth-first simulator walks one
-root-to-leaf path at a time in O(depth) memory and tallies only the target
-generation.
+parasite-free forever, exactly).  The depth-first simulator walks the tree
+in blocks of at most 2^16 sibling cells, each advanced by the same
+generation step, so it holds O(depth * 2^16) cells and tallies only the
+target generation.
 
 The total parasite count across a generation is itself a Markov chain
 whenever each parasite's total brood size has the same law in every realized
@@ -23,7 +24,6 @@ tree's totals.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -43,9 +43,8 @@ from .stats import EmptySeries
 BFS_DEPTH_LIMIT = 22
 DFS_DEPTH_LIMIT = 30
 
-# above this count a depth-first node switches from per-parasite draws to one
-# multinomial over the joint support
-_DFS_SMALL_STATE = 32
+# largest block of sibling cells the depth-first walk advances in one pass
+_BLOCK_CELLS = 2**16
 
 
 class DepthTooLarge(ValueError):
@@ -107,12 +106,6 @@ def _ledger_from_states(n: int, states: np.ndarray) -> GenerationLedger:
     return GenerationLedger.from_histogram(n, hist, cells=len(states))
 
 
-def _immigration_draws(law, rng: np.random.Generator, size: int) -> np.ndarray:
-    if size == 0:
-        return np.empty(0, dtype=np.int64)
-    return law.sample_many(rng, size).astype(np.int64)
-
-
 def advance_generation(
     cells: Sequence[int] | np.ndarray,
     env: EnvironmentLaw,
@@ -142,14 +135,12 @@ def advance_generation(
         s1[mask] = counts @ b
     was_zero = states == 0
     n_zero = int(was_zero.sum())
-    d0 = s0.copy()
-    d1 = s1.copy()
-    for d in (d0, d1):
-        d[was_zero] += _immigration_draws(imm.y0, rng, n_zero)
-        d[~was_zero] += _immigration_draws(imm.y1, rng, n - n_zero)
+    for d in (s0, s1):
+        d[was_zero] += imm.y0.sample_many(rng, n_zero)
+        d[~was_zero] += imm.y1.sample_many(rng, n - n_zero)
     out = np.empty(2 * n, dtype=np.int64)
-    out[0::2] = np.minimum(d0, BATCH_STATE_CAP)
-    out[1::2] = np.minimum(d1, BATCH_STATE_CAP)
+    out[0::2] = np.minimum(s0, BATCH_STATE_CAP)
+    out[1::2] = np.minimum(s1, BATCH_STATE_CAP)
     return out
 
 
@@ -225,93 +216,6 @@ def iter_forest_bfs(
         yield g, states.reshape(n_runs, 2**g)
 
 
-def iter_forest_infected(
-    k0: int,
-    n_max: int,
-    env: EnvironmentLaw,
-    rng: np.random.Generator,
-    n_runs: int,
-    max_depth: int = BFS_DEPTH_LIMIT,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Zero-contamination forest keeping only infected cells.
-
-    Yields (generation, infected states flat, run index per state).  The
-    dropped cells are parasite-free forever, so per-run infected counts and
-    histograms are exact.
-    """
-    if n_max > max_depth:
-        raise DepthTooLarge(f"depth {n_max} exceeds breadth-first bound {max_depth}")
-    states = np.full(n_runs, k0, dtype=np.int64)
-    runs = np.arange(n_runs, dtype=np.int64)
-    keep = states > 0
-    states, runs = states[keep], runs[keep]
-    yield 0, states, runs
-    for g in range(1, n_max + 1):
-        states, runs = _advance_infected_only(states, runs, env, rng)
-        yield g, states, runs
-
-
-class _DfsSampler:
-    """Per-node sampling tables for the depth-first walk.
-
-    Scalar generator calls dominate a per-node loop, so uniforms are consumed
-    from a refillable buffer and small laws are inverted with bisect on plain
-    Python lists.
-    """
-
-    def __init__(self, env: EnvironmentLaw, imm: ImmigrationPair, rng: np.random.Generator):
-        self.rng = rng
-        self.env_cum = np.cumsum(env.weights).tolist()
-        self.pair_tables = []
-        for law, _ in env.components:
-            a, b = law.pair_values
-            self.pair_tables.append(
-                (np.cumsum(law.pair_probs).tolist(), a.tolist(), b.tolist(), law.pair_probs, a, b)
-            )
-        self.imm_tables = []
-        for law in (imm.y0, imm.y1):
-            if isinstance(law, HeavyTailLaw):
-                self.imm_tables.append(None)  # fall back to the law's own sampler
-            else:
-                self.imm_tables.append((np.cumsum(law._probs_arr).tolist(), list(law.values)))
-        self.imm_laws = (imm.y0, imm.y1)
-        self._buf: list[float] = []
-        self._idx = 0
-
-    def uniform(self) -> float:
-        if self._idx >= len(self._buf):
-            self._buf = self.rng.random(8192).tolist()
-            self._idx = 0
-        u = self._buf[self._idx]
-        self._idx += 1
-        return u
-
-    def immigration(self, infected: bool) -> int:
-        table = self.imm_tables[1 if infected else 0]
-        if table is None:
-            return int(self.imm_laws[1 if infected else 0].sample(self.rng))
-        cum, values = table
-        return values[bisect.bisect_right(cum, self.uniform())]
-
-    def offspring(self, x: int) -> tuple[int, int]:
-        cum_env = self.env_cum
-        ci = bisect.bisect_right(cum_env, self.uniform()) if len(cum_env) > 1 else 0
-        ci = min(ci, len(cum_env) - 1)
-        cum, a_list, b_list, probs, a_arr, b_arr = self.pair_tables[ci]
-        if x == 0:
-            return 0, 0
-        if x <= _DFS_SMALL_STATE:
-            s0 = 0
-            s1 = 0
-            for _ in range(x):
-                j = min(bisect.bisect_right(cum, self.uniform()), len(a_list) - 1)
-                s0 += a_list[j]
-                s1 += b_list[j]
-            return s0, s1
-        counts = self.rng.multinomial(x, probs)
-        return int(counts @ a_arr), int(counts @ b_arr)
-
-
 def simulate_tree_dfs(
     k0: int,
     n_target: int,
@@ -321,29 +225,31 @@ def simulate_tree_dfs(
     accumulator: dict[int, int] | None = None,
     max_depth: int = DFS_DEPTH_LIMIT,
 ) -> GenerationLedger:
-    """Depth-first run tallying only the target generation, in O(depth) memory.
+    """Depth-first run over breadth-first blocks, tallying only the target generation.
 
-    The walk carries each cell state down one root-to-leaf path at a time and
-    produces the same leaf-histogram law as the breadth-first simulator.  When
-    ``accumulator`` is given, the leaf counts are also merged into it so
-    replicate trees can share a tally.
+    Blocks of sibling cells are advanced a generation at a time; a block whose
+    next generation would exceed ``_BLOCK_CELLS`` is split in half first, so
+    memory stays O(depth * 2^16) cells.  Every cell's daughters are drawn
+    independently, so the leaf histogram has the breadth-first simulator's
+    law.  When ``accumulator`` is given, the leaf counts are also merged into
+    it so replicate trees can share a tally.
     """
     if n_target > max_depth:
         raise DepthTooLarge(f"depth {n_target} exceeds depth-first bound {max_depth}")
-    sampler = _DfsSampler(env, imm, rng)
     hist: dict[int, int] = {}
-    stack: list[tuple[int, int]] = [(0, k0)]
+    stack = [(0, np.array([k0], dtype=np.int64))]
     while stack:
-        depth, state = stack.pop()
+        depth, states = stack.pop()
         if depth == n_target:
-            hist[state] = hist.get(state, 0) + 1
-            continue
-        s0, s1 = sampler.offspring(state)
-        infected = state > 0
-        d0 = s0 + sampler.immigration(infected)
-        d1 = s1 + sampler.immigration(infected)
-        stack.append((depth + 1, d1))
-        stack.append((depth + 1, d0))
+            vals, counts = np.unique(states, return_counts=True)
+            for k, c in zip(vals.tolist(), counts.tolist()):
+                hist[k] = hist.get(k, 0) + c
+        elif 2 * states.size > _BLOCK_CELLS:
+            half = states.size // 2
+            stack.append((depth, states[half:]))
+            stack.append((depth, states[:half]))
+        else:
+            stack.append((depth + 1, advance_generation(states, env, imm, rng)))
     if accumulator is not None:
         for k, c in hist.items():
             accumulator[k] = accumulator.get(k, 0) + c

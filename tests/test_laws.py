@@ -20,9 +20,6 @@ from cellbranch.laws import (
     build_cluster_split,
     classify_regime,
     expected_log_inverse_p,
-    mixed_log_mean,
-    sample_environment,
-    sample_offspring_pair,
     uniform_grid_p,
 )
 
@@ -101,27 +98,27 @@ class TestClusterSplit:
 class TestMixedLogMean:
     def test_critical_value(self):
         env = build_binomial_split(FiniteLaw.delta(2), [(0.5, 1.0)])
-        assert mixed_log_mean(env) == pytest.approx(0.0, abs=1e-15)
+        assert env.mixed_log_mean() == pytest.approx(0.0, abs=1e-15)
 
     def test_subcritical_value(self):
         env = build_binomial_split(FiniteLaw.delta(1), [(0.5, 1.0)])
-        assert mixed_log_mean(env) == pytest.approx(-math.log(2))
+        assert env.mixed_log_mean() == pytest.approx(-math.log(2))
 
     def test_supercritical_value(self):
         env = build_binomial_split(FiniteLaw.delta(4), [(0.5, 1.0)])
-        assert mixed_log_mean(env) == pytest.approx(math.log(2))
+        assert env.mixed_log_mean() == pytest.approx(math.log(2))
 
     def test_degenerate_marginal_rejected(self):
         env = EnvironmentLaw(((BivariateOffspringLaw.delta(0, 0), 1.0),))
         with pytest.raises(DegenerateMarginal):
-            mixed_log_mean(env)
+            env.mixed_log_mean()
 
     @given(z=st.integers(1, 6), p=st.floats(0.05, 0.95))
     @settings(max_examples=40, deadline=None)
     def test_log_decomposition_for_deterministic_broods(self, z, p):
         env = build_binomial_split(FiniteLaw.delta(z), [(p, 1.0)])
         expected = math.log(z) + 0.5 * (math.log(p) + math.log(1.0 - p))
-        assert mixed_log_mean(env) == pytest.approx(expected, abs=1e-10)
+        assert env.mixed_log_mean() == pytest.approx(expected, abs=1e-10)
 
 
 class TestClassifyRegime:
@@ -215,17 +212,6 @@ class TestSampling:
         assert abs(s1 / 10**5 - 0.75) < 0.01
 
 
-class TestModuleLevelSampling:
-    def test_sample_environment_function(self):
-        env = build_binomial_split(FiniteLaw.delta(2), [(0.5, 1.0)])
-        rng = np.random.default_rng(0)
-        assert sample_environment(env, rng) is env.components[0][0]
-
-    def test_sample_offspring_pair_function(self):
-        rng = np.random.default_rng(0)
-        assert sample_offspring_pair(BivariateOffspringLaw.delta(1, 2), rng) == (1, 2)
-
-
 class TestValidation:
     def test_environment_needs_components(self):
         with pytest.raises(ValueError):
@@ -311,10 +297,6 @@ class TestImmigrationPair:
     def test_state_independent_escape_hatch(self):
         pair = ImmigrationPair.state_independent(FiniteLaw.delta(1))
         assert pair.y0 is pair.y1
-
-    def test_threshold_reserved(self):
-        with pytest.raises(NotImplementedError):
-            ImmigrationPair(FiniteLaw.bernoulli(0.5), FiniteLaw.delta(0), infected_threshold=2)
 
     def test_law_for_state(self):
         pair = ImmigrationPair(FiniteLaw.bernoulli(0.5), FiniteLaw.delta(0))

@@ -190,11 +190,11 @@ class TestStationary:
             assert tv < 1e-9
 
     def test_iteration_budget_enforced(self):
-        from cellbranch.oracle import NoConvergence
+        from cellbranch.oracle import NonConvergent
 
         env, imm = geometric_set()
         kernel = build_kernel(env, imm, 64)
-        with pytest.raises(NoConvergence):
+        with pytest.raises(NonConvergent):
             stationary_solve(kernel, max_iterations=2)
 
 

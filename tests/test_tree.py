@@ -12,7 +12,8 @@ from cellbranch.laws import (
     ImmigrationPair,
     build_binomial_split,
 )
-from cellbranch.oracle import build_kernel, propagate
+from cellbranch.oracle import build_kernel, propagate, stationary_solve
+from cellbranch.presets import subcritical_binomial
 from cellbranch.stats import EmptySeries, EmpiricalMeasure, tv_distance
 from cellbranch.tree import (
     DepthTooLarge,
@@ -23,7 +24,6 @@ from cellbranch.tree import (
     growth_exponent,
     infected_fraction_series,
     iter_forest_bfs,
-    iter_forest_infected,
     prefix_ledgers,
     simulate_parasite_totals,
     simulate_tree_bfs,
@@ -162,6 +162,17 @@ class TestDfs:
         with pytest.raises(DepthTooLarge):
             simulate_tree_dfs(0, 31, sub_env(), toy_imm(), rng)
 
+    def test_split_blocks_past_block_size(self):
+        env, imm = subcritical_binomial()
+        rng = np.random.default_rng(10)
+        acc: dict[int, int] = {}
+        led = simulate_tree_dfs(0, 17, env, imm, rng, accumulator=acc)
+        assert led.cells == 2**17
+        assert sum(acc.values()) == 2**17
+        assert acc == led.histogram
+        exact = stationary_solve(build_kernel(env, imm, 512)).pmf
+        assert tv_distance(EmpiricalMeasure.from_counts(acc), exact) < 0.02
+
 
 class TestInfectedFraction:
     def test_monotone_under_zero_contamination(self):
@@ -176,15 +187,6 @@ class TestInfectedFraction:
         rng = np.random.default_rng(1)
         ledgers = simulate_tree_bfs(0, 6, sub_env(), ImmigrationPair.zero(), rng)
         assert infected_fraction_series(ledgers) == pytest.approx(np.zeros(7))
-
-    def test_infected_only_forest_counts(self):
-        env = build_binomial_split(FiniteLaw.delta(2), [(0.5, 1.0)])
-        rng = np.random.default_rng(2)
-        n_runs = 50
-        for g, states, runs in iter_forest_infected(1, 10, env, rng, n_runs):
-            counts = np.bincount(runs, minlength=n_runs)
-            assert counts.sum() == len(states)
-            assert np.all(states > 0)
 
 
 class TestParasiteTotals:
