@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# Batch states saturate here: float64 still counts exactly up to 2**53.
+BATCH_STATE_CAP = 2**53
+
 
 def multinomial_counts(
     rng: np.random.Generator, n: np.ndarray, probs: np.ndarray
@@ -26,3 +29,16 @@ def multinomial_counts(
         rem_p -= probs[j]
     counts[:, -1] = remaining
     return counts
+
+
+def capped_sum(counts: np.ndarray, values: np.ndarray, trials: np.ndarray) -> np.ndarray:
+    """Per-row ``counts @ values`` clipped to ``BATCH_STATE_CAP``, never wrapped.
+
+    ``trials`` holds the row totals of ``counts`` (a ``multinomial_counts``
+    draw sums to its trial counts).  When the largest total times the largest
+    value fits in int64 the sum is taken in int64; otherwise in float64, which
+    is exact while the true sum is below 2**53 and saturates at the cap above.
+    """
+    if int(trials.max(initial=0)) * int(values.max()) < 2**63:
+        return np.minimum(counts @ values, BATCH_STATE_CAP)
+    return np.minimum(counts @ values.astype(float), BATCH_STATE_CAP).astype(np.int64)

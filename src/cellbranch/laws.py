@@ -391,7 +391,16 @@ def build_binomial_split(
         support = []
         for z, pz in zip(z_law.values, z_law.probs):
             for a in range(z + 1):
-                prob = pz * math.comb(z, a) * p**a * (1.0 - p) ** (z - a)
+                comb = math.comb(z, a)
+                try:
+                    prob = pz * comb * p**a * (1.0 - p) ** (z - a)
+                except OverflowError:
+                    # C(z, a) is past float range (broods above ~1030), so 0 < a < z.
+                    # The log of the exact integer keeps the mass within ~2e-13 of 1;
+                    # lgamma drifts past the 1e-12 tolerance by brood 5000.
+                    prob = 0.0 if p in (0.0, 1.0) else pz * math.exp(
+                        math.log(comb) + a * math.log(p) + (z - a) * math.log1p(-p)
+                    )
                 support.append(((a, z - a), prob))
         comps.append((BivariateOffspringLaw(tuple(support)), w))
     return EnvironmentLaw(tuple(comps))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sampling import multinomial_counts
+from ._sampling import BATCH_STATE_CAP, capped_sum, multinomial_counts
 from .laws import (
     STATE_CAP,
     DegenerateMarginal,
@@ -31,9 +31,6 @@ from .laws import (
     classify_regime,
 )
 from .stats import EmpiricalMeasure
-
-# Batch runners clip states here so multinomial count sums stay exact in int64.
-BATCH_STATE_CAP = 2**53
 
 
 class ExcursionCapExceeded(RuntimeError):
@@ -305,7 +302,7 @@ def batch_step(
             x = states[mask]
             if np.any(x > 0):
                 counts = multinomial_counts(rng, x, marginal._probs_arr)
-                offspring[mask] = counts @ marginal._vals_arr
+                offspring[mask] = capped_sum(counts, marginal._vals_arr, x)
             if log_means_out is not None:
                 if marginal.mean <= 0.0:
                     raise DegenerateMarginal("normalized batch needs positive realized means")

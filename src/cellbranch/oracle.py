@@ -100,27 +100,46 @@ def build_kernel(
     immigration law for state x.  Mass above K accumulates in the overflow
     column.  A finite-law row whose overflow exceeds ``overflow_budget``
     raises; heavy-tail immigration is exempt and only flagged.
+
+    The rows are built in one pass over x.  The x-fold powers of all M
+    marginals sit side by side in one (K+1, M) array, advanced from x-1 by one
+    shifted multiply-add per atom of the marginals' joint support (s atoms,
+    the largest s_max), then mixed by the marginal weights.  Only the nonzero
+    prefix of that mixture, min(x * s_max, K) + 1 entries, is convolved with
+    the immigration pmf cut after its last atom.  For finite laws a row costs
+    O(K * (M * s + |supp Y|)); heavy-tail immigration fills 0..K, so its rows
+    cost O(K^2).
     """
     size = K + 1
-    offspring = np.zeros((size, size))
-    offspring[0, 0] = 1.0
-    for marg, weight in env.realized_marginals():
-        pmf, esc = marg.pmf_array(size)
+    marginals = env.realized_marginals()
+    pmfs = np.empty((size, len(marginals)))
+    for i, (marg, _) in enumerate(marginals):
+        pmfs[:, i], esc = marg.pmf_array(size)
         if esc > 0:
             raise TruncationTooSmall(
                 f"offspring marginal support {marg.max_value} exceeds truncation {K}"
             )
-        cur = np.array([1.0])
-        for x in range(1, size):
-            cur = np.convolve(cur, pmf[: marg.max_value + 1])[:size]
-            offspring[x, : len(cur)] += weight * cur
+    weights = np.array([w for _, w in marginals])
+    atoms = np.flatnonzero(pmfs.any(axis=1))
+    reach = int(atoms[-1])
 
     y0_pmf, _ = imm.y0.pmf_array(size)
     y1_pmf, _ = imm.y1.pmf_array(size)
-    matrix = np.empty((size, size))
-    matrix[0] = np.convolve(offspring[0], y0_pmf)[:size]
+    y1_head = y1_pmf[: np.flatnonzero(y1_pmf).max(initial=0) + 1]
+    matrix = np.zeros((size, size))
+    matrix[0] = y0_pmf
+    # Past each power's prefix both buffers hold zeros: prefixes never shrink.
+    power = np.zeros_like(pmfs)
+    power[0] = 1.0
+    nxt = np.zeros_like(pmfs)
     for x in range(1, size):
-        matrix[x] = np.convolve(offspring[x], y1_pmf)[:size]
+        n = min(x * reach, K) + 1
+        nxt[:n] = 0.0
+        for a in atoms:
+            nxt[a:n] += power[: n - a] * pmfs[a]
+        power, nxt = nxt, power
+        row = np.convolve(power[:n] @ weights, y1_head)[:size]
+        matrix[x, : len(row)] = row
     overflow = 1.0 - matrix.sum(axis=1)
     np.clip(overflow, 0.0, None, out=overflow)
 

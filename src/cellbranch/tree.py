@@ -30,14 +30,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._sampling import multinomial_counts
+from ._sampling import BATCH_STATE_CAP, capped_sum, multinomial_counts
 from .laws import (
     EnvironmentLaw,
     FiniteLaw,
     HeavyTailLaw,
     ImmigrationPair,
 )
-from .lineage import BATCH_STATE_CAP
 from .stats import EmptySeries
 
 BFS_DEPTH_LIMIT = 22
@@ -131,8 +130,8 @@ def advance_generation(
         x = states[mask]
         a, b = law.pair_values
         counts = multinomial_counts(rng, x, law.pair_probs)
-        s0[mask] = counts @ a
-        s1[mask] = counts @ b
+        s0[mask] = capped_sum(counts, a, x)
+        s1[mask] = capped_sum(counts, b, x)
     was_zero = states == 0
     n_zero = int(was_zero.sum())
     for d in (s0, s1):
@@ -355,8 +354,9 @@ def simulate_parasite_totals(
     current = np.full(n_runs, k0, dtype=np.int64)
     totals[:, 0] = current
     for g in range(1, n_max + 1):
-        offspring = multinomial_counts(rng, current, z_probs) @ z_vals
-        arrivals = multinomial_counts(rng, np.full(n_runs, 2**g, dtype=np.int64), y_probs) @ y_vals
+        offspring = capped_sum(multinomial_counts(rng, current, z_probs), z_vals, current)
+        arrivals_n = np.full(n_runs, 2**g, dtype=np.int64)
+        arrivals = capped_sum(multinomial_counts(rng, arrivals_n, y_probs), y_vals, arrivals_n)
         current = np.minimum(offspring + arrivals, BATCH_STATE_CAP)
         totals[:, g] = current
     return totals

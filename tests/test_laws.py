@@ -48,6 +48,21 @@ class TestBinomialSplit:
         env = build_binomial_split(FiniteLaw.delta(0), [(0.3, 1.0)])
         assert law_as_dict(single(env)) == pytest.approx({(0, 0): 1.0})
 
+    def test_small_brood_matches_closed_form_exactly(self):
+        env = build_binomial_split(FiniteLaw.delta(6), [(0.3, 1.0)])
+        terms = [
+            ((a, 6 - a), 1.0 * math.comb(6, a) * 0.3**a * (1.0 - 0.3) ** (6 - a)) for a in range(7)
+        ]
+        assert single(env).support == BivariateOffspringLaw(tuple(terms)).support
+
+    @pytest.mark.parametrize("p", [0.5, 0.3])
+    def test_brood_past_float_binomial_coefficients(self, p):
+        # C(2000, 1000) ~ 2e600 does not fit a float; those terms go through log space
+        env = build_binomial_split(FiniteLaw.delta(2000), [(p, 1.0)])
+        law = single(env)
+        assert abs(law.pair_probs.sum() - 1.0) < 1e-12
+        assert abs(law.marginal(0).mean - 2000 * p) < 1e-9
+
     @given(
         z_probs=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4),
         p=st.floats(0.0, 1.0),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cellbranch._sampling import BATCH_STATE_CAP, capped_sum
 from cellbranch.laws import (
     STATE_CAP,
     BivariateOffspringLaw,
@@ -11,9 +12,11 @@ from cellbranch.laws import (
     FiniteLaw,
     ImmigrationPair,
     build_binomial_split,
+    build_cluster_split,
 )
 from cellbranch.lineage import (
     ExcursionCapExceeded,
+    batch_step,
     collect_hitting_times,
     hitting_time,
     normalized_process,
@@ -241,3 +244,21 @@ class TestBatchAgainstOracle:
         tv_50 = tv_distance(EmpiricalMeasure.from_samples(out[50]), exact)
         assert tv_50 < 0.02
         assert tv_50 <= tv_5 + 0.01
+
+
+class TestSaturation:
+    def test_batch_offspring_past_int64_saturates(self):
+        env = build_cluster_split(FiniteLaw.delta(4096), [(0.5, 1.0)])
+        rng = np.random.default_rng(21)
+        out = batch_step(np.array([2**52, 2**52]), env, ImmigrationPair.zero(), rng)
+        assert list(out) == [BATCH_STATE_CAP, BATCH_STATE_CAP]
+
+    def test_wide_sums_stay_exact_below_the_cap(self):
+        # trials * max value passes 2^63, so the sums are taken in float64
+        counts = np.array(
+            [[3, 2**52 - 3, 0], [2**12 + 1, 2**52 - 2**12 - 1, 0], [0, 0, 2**52]], dtype=np.int64
+        )
+        values = np.array([2**40 + 1, 0, 2**11], dtype=np.int64)
+        out = capped_sum(counts, values, np.full(3, 2**52))
+        assert out.dtype == np.int64
+        assert list(out) == [3 * (2**40 + 1), (2**12 + 1) * (2**40 + 1), BATCH_STATE_CAP]

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellbranch.laws import (
     BivariateOffspringLaw,
@@ -12,6 +13,7 @@ from cellbranch.laws import (
     HeavyTailLaw,
     ImmigrationPair,
     build_binomial_split,
+    build_cluster_split,
     uniform_grid_p,
 )
 from cellbranch.oracle import (
@@ -25,6 +27,7 @@ from cellbranch.oracle import (
     stationary_solve,
     survival_no_immigration,
 )
+from cellbranch.presets import heavy_tail_contaminated, uniform_split_environment
 
 
 def dying_env() -> EnvironmentLaw:
@@ -44,6 +47,58 @@ def geometric_set():
     env = subcritical_env()
     g = FiniteLaw.geometric_truncated(0.5, 20)
     return env, ImmigrationPair(g, g)
+
+
+def dense_reference_kernel(env, imm, K):
+    """The kernel from one dense (K+1)-long convolution per marginal and per row."""
+    size = K + 1
+    offspring = np.zeros((size, size))
+    offspring[0, 0] = 1.0
+    for marg, weight in env.realized_marginals():
+        pmf, _ = marg.pmf_array(size)
+        cur = np.array([1.0])
+        for x in range(1, size):
+            cur = np.convolve(cur, pmf)[:size]
+            offspring[x, : len(cur)] += weight * cur
+    y0_pmf, _ = imm.y0.pmf_array(size)
+    y1_pmf, _ = imm.y1.pmf_array(size)
+    matrix = np.array(
+        [np.convolve(row, y0_pmf if x == 0 else y1_pmf)[:size] for x, row in enumerate(offspring)]
+    )
+    overflow = np.clip(1.0 - matrix.sum(axis=1), 0.0, None)
+    heavy = isinstance(imm.y0, HeavyTailLaw) or isinstance(imm.y1, HeavyTailLaw)
+    return matrix, overflow, heavy
+
+
+def assert_matches_reference(env, imm, K):
+    kernel = build_kernel(env, imm, K, overflow_budget=None)
+    matrix, overflow, heavy = dense_reference_kernel(env, imm, K)
+    assert np.abs(kernel.matrix - matrix).max() <= 1e-15
+    assert np.abs(kernel.overflow - overflow).max() <= 1e-15
+    assert kernel.heavy_truncated == heavy
+
+
+def normalized_weights(n):
+    return st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n).map(lambda w: np.array(w) / sum(w))
+
+
+@st.composite
+def finite_laws(draw, max_value, max_atoms):
+    values = draw(st.lists(st.integers(0, max_value), min_size=1, max_size=max_atoms, unique=True))
+    return FiniteLaw(tuple(values), tuple(draw(normalized_weights(len(values)))))
+
+
+@st.composite
+def offspring_laws(draw):
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda ab: sum(ab) <= 5),
+            min_size=1,
+            max_size=6,
+            unique=True,
+        )
+    )
+    return BivariateOffspringLaw(tuple(zip(pairs, draw(normalized_weights(len(pairs))))))
 
 
 class TestBuildKernel:
@@ -89,6 +144,45 @@ class TestBuildKernel:
         kernel = build_kernel(env, imm, 64)
         assert kernel.heavy_truncated
         assert kernel.overflow.max() > 1e-3
+
+    @given(
+        laws=st.lists(offspring_laws(), min_size=1, max_size=3),
+        mix=normalized_weights(3),
+        y0=finite_laws(max_value=12, max_atoms=6),
+        y1=finite_laws(max_value=12, max_atoms=6),
+        K=st.integers(8, 48),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_reference(self, laws, mix, y0, y1, K):
+        weights = mix[: len(laws)] / mix[: len(laws)].sum()
+        env = EnvironmentLaw(tuple(zip(laws, weights)))
+        imm = ImmigrationPair(y0, y1, require_contamination_condition=False)
+        assert_matches_reference(env, imm, K)
+
+    @pytest.mark.parametrize(
+        "env, imm, K",
+        [
+            (*heavy_tail_contaminated(), 300),
+            (uniform_split_environment(4), ImmigrationPair.zero(), 96),
+        ],
+        ids=["heavy-tail", "uniform-grid"],
+    )
+    def test_matches_dense_reference_at_presets(self, env, imm, K):
+        assert_matches_reference(env, imm, K)
+
+    def test_marginal_support_up_to_truncation(self):
+        K = 16
+        env = build_cluster_split(FiniteLaw.delta(K), [(0.5, 1.0)])
+        kernel = build_kernel(env, ImmigrationPair.zero(), K, overflow_budget=None)
+        assert kernel.matrix[1, [0, K]] == pytest.approx([0.5, 0.5])
+        assert kernel.overflow[2] == pytest.approx(0.25)
+        with pytest.raises(TruncationTooSmall):
+            build_kernel(
+                build_cluster_split(FiniteLaw.delta(K + 1), [(0.5, 1.0)]),
+                ImmigrationPair.zero(),
+                K,
+                overflow_budget=None,
+            )
 
 
 class TestPropagate:

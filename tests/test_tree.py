@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from cellbranch._sampling import BATCH_STATE_CAP
 from cellbranch.laws import (
     BivariateOffspringLaw,
     EnvironmentLaw,
     FiniteLaw,
     ImmigrationPair,
     build_binomial_split,
+    build_cluster_split,
 )
 from cellbranch.oracle import build_kernel, propagate, stationary_solve
 from cellbranch.presets import subcritical_binomial
@@ -68,6 +70,13 @@ class TestAdvanceGeneration:
         rng = np.random.default_rng(3)
         children = advance_generation([5, 0, 2], env, ImmigrationPair.zero(), rng)
         assert list(children) == [5, 0, 0, 0, 2, 0]
+
+    def test_offspring_past_int64_saturates(self):
+        # 2^52 parasites with broods of 4096: each daughter's true count is near 2^63
+        env = build_cluster_split(FiniteLaw.delta(4096), [(0.5, 1.0)])
+        rng = np.random.default_rng(4)
+        children = advance_generation([2**52], env, ImmigrationPair.zero(), rng)
+        assert list(children) == [BATCH_STATE_CAP, BATCH_STATE_CAP]
 
 
 class TestBfs:
@@ -213,6 +222,13 @@ class TestParasiteTotals:
         rng = np.random.default_rng(10)
         totals = simulate_parasite_totals(env, imm, 0, 3, rng, n_runs=20_000)
         assert abs(totals[:, 3].mean() - 28.0) < 1.0
+
+    def test_totals_past_int64_saturate(self):
+        # 4096 * 2^52 = 2^64 wraps to 0 in int64: a false extinction
+        env = build_binomial_split(FiniteLaw.delta(4096), [(0.5, 1.0)])
+        rng = np.random.default_rng(14)
+        totals = simulate_parasite_totals(env, ImmigrationPair.zero(), 2**52, 2, rng, n_runs=3)
+        assert (totals[:, 1:] == BATCH_STATE_CAP).all()
 
     def test_totals_chain_matches_real_trees(self):
         env, imm = self.gw_setup(4)
