@@ -32,7 +32,6 @@ from .lineage import (
     collect_hitting_times,
     hitting_time,
     normalized_process,
-    simulate_coupled_pair,
     simulate_normalized_batch,
     simulate_path,
     simulate_states_batch,

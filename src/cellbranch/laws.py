@@ -22,12 +22,13 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from ._sampling import BATCH_STATE_CAP
+
 NORMALIZATION_TOL = 1e-12
 CRITICAL_TOL = 1e-12
 
 # Heavy-tail head table covers 1..HEAVY_HEAD; the tail CDF beyond is analytic.
 HEAVY_HEAD = 65536
-STATE_CAP = 2**62 - 1
 
 
 class DegenerateMarginal(ValueError):
@@ -117,9 +118,6 @@ class FiniteLaw:
                 escaped += p
         return out, escaped
 
-    def sample(self, rng: np.random.Generator) -> int:
-        return self.values[int(np.searchsorted(self._cum, rng.random(), side="right").clip(0, len(self.values) - 1))]
-
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         idx = np.searchsorted(self._cum, rng.random(size), side="right")
         return self._vals_arr[np.minimum(idx, len(self.values) - 1)]
@@ -145,8 +143,8 @@ class HeavyTailLaw:
 
     The log-moment of this law diverges, which is exactly what the divergence
     experiments need.  Sampling inverts the CDF: an exact prefix table covers
-    n <= 65536 and the analytic tail handles the rest (values are clamped at
-    the simulator's state cap).
+    n <= 65536 and the analytic tail handles the rest.  Draws saturate at
+    ``BATCH_STATE_CAP`` = 2^53, the simulators' one state cap.
     """
 
     @property
@@ -183,20 +181,11 @@ class HeavyTailLaw:
         # Smallest n with cumulative head weight H(n) >= t, for t beyond the table.
         rem = _HEAVY_TOTAL - t
         if rem <= 0:
-            return STATE_CAP
+            return BATCH_STATE_CAP
         expo = 1.0 / rem - 1.0
-        if expo > 42.6:  # exp(42.7) > 2^62
-            return STATE_CAP
-        return max(HEAVY_HEAD + 1, math.ceil(math.exp(expo) - 0.5))
-
-    def sample(self, rng: np.random.Generator) -> int:
-        u = rng.random()
-        if u < 0.5:
-            return 0
-        t = (u - 0.5) / _HEAVY_C
-        if t <= _HEAVY_HEAD_CUM[-1]:
-            return int(np.searchsorted(_HEAVY_HEAD_CUM, t, side="left")) + 1
-        return self._invert_tail(t)
+        if expo > 36.8:  # exp(36.8) > 2^53
+            return BATCH_STATE_CAP
+        return min(max(HEAVY_HEAD + 1, math.ceil(math.exp(expo) - 0.5)), BATCH_STATE_CAP)
 
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random(size)
@@ -236,7 +225,6 @@ class BivariateOffspringLaw:
         object.__setattr__(self, "_a", np.array([j for (j, _), _ in support], dtype=np.int64))
         object.__setattr__(self, "_b", np.array([k for (_, k), _ in support], dtype=np.int64))
         object.__setattr__(self, "_probs", probs)
-        object.__setattr__(self, "_cum", np.cumsum(probs))
         object.__setattr__(self, "_marginals", (self._build_marginal(0), self._build_marginal(1)))
 
     @classmethod
@@ -280,29 +268,6 @@ class BivariateOffspringLaw:
             acc[j + k] = acc.get(j + k, 0.0) + p
         return FiniteLaw(tuple(acc.keys()), tuple(acc.values()))
 
-    def sample_pair(self, rng: np.random.Generator) -> tuple[int, int]:
-        i = int(np.searchsorted(self._cum, rng.random(), side="right").clip(0, len(self.support) - 1))
-        return int(self._a[i]), int(self._b[i])
-
-    def sample_pairs(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        idx = np.minimum(
-            np.searchsorted(self._cum, rng.random(size), side="right"), len(self.support) - 1
-        )
-        return np.stack([self._a[idx], self._b[idx]], axis=1)
-
-    def sample_pair_sums(self, x: int, rng: np.random.Generator) -> tuple[int, int]:
-        """Summed offspring pair of x parasites reproducing under this law.
-
-        Exact for any x: the support-pair counts are multinomial, so the sums
-        can be drawn without touching individual parasites.
-        """
-        if x == 0:
-            return 0, 0
-        counts = rng.multinomial(x, self._probs)
-        s0 = sum(int(c) * int(a) for c, a in zip(counts, self._a))
-        s1 = sum(int(c) * int(b) for c, b in zip(counts, self._b))
-        return s0, s1
-
 
 @dataclass(frozen=True)
 class EnvironmentLaw:
@@ -332,12 +297,6 @@ class EnvironmentLaw:
     @property
     def max_pair_sum(self) -> int:
         return max(law.max_pair_sum for law, _ in self.components)
-
-    def sample_index(self, rng: np.random.Generator) -> int:
-        return int(np.searchsorted(self._cum, rng.random(), side="right").clip(0, len(self.components) - 1))
-
-    def sample(self, rng: np.random.Generator) -> BivariateOffspringLaw:
-        return self.components[self.sample_index(rng)][0]
 
     def sample_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.minimum(
@@ -390,8 +349,8 @@ def build_binomial_split(
             raise ValueError(f"split probability {p} outside [0, 1]")
         support = []
         for z, pz in zip(z_law.values, z_law.probs):
+            comb = 1  # C(z, a), carried exactly from one atom to the next
             for a in range(z + 1):
-                comb = math.comb(z, a)
                 try:
                     prob = pz * comb * p**a * (1.0 - p) ** (z - a)
                 except OverflowError:
@@ -402,6 +361,7 @@ def build_binomial_split(
                         math.log(comb) + a * math.log(p) + (z - a) * math.log1p(-p)
                     )
                 support.append(((a, z - a), prob))
+                comb = comb * (z - a) // (a + 1)
         comps.append((BivariateOffspringLaw(tuple(support)), w))
     return EnvironmentLaw(tuple(comps))
 
@@ -495,9 +455,6 @@ class ImmigrationPair:
             and self.y0.is_zero
             and self.y1.is_zero
         )
-
-    def law_for_state(self, state: int) -> CountLaw:
-        return self.y0 if state == 0 else self.y1
 
 
 def classify_regime(env: EnvironmentLaw, imm: ImmigrationPair) -> RegimeReport:

@@ -6,11 +6,15 @@ environment, reproduces every parasite independently through that side's
 marginal, then adds contamination: the state-zero law when the cell was
 parasite-free, the infected-state law otherwise.
 
-The scalar API mirrors that construction one step at a time and records the
-realized reproduction means so the normalized process (state divided by the
-running product of means) is available.  Batch runners advance many
-independent paths per vector operation for the Monte Carlo experiments; they
-draw from the same per-state laws, so scalar and batch paths agree in law.
+One vectorized step, ``batch_step``, advances every lane of a state array
+through that construction; every runner here is built on it.  A single
+trajectory is a one-lane run that records the realized reproduction means, so
+the normalized process (state divided by the running product of means) is
+available.  Return times and the regeneration estimate of the stationary law
+come from one laned excursion runner: n independent excursions advance
+together and each lane drops out at its return to the empty state.  States
+saturate at ``BATCH_STATE_CAP`` = 2^53, the one state cap, where float64
+still counts exactly; a trajectory that reaches it is flagged ``saturated``.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import numpy as np
 
 from ._sampling import BATCH_STATE_CAP, capped_sum, multinomial_counts
 from .laws import (
-    STATE_CAP,
     DegenerateMarginal,
     EnvironmentLaw,
     ImmigrationPair,
@@ -31,6 +34,12 @@ from .laws import (
     classify_regime,
 )
 from .stats import EmpiricalMeasure
+
+
+# largest block of excursions advanced together; bounds the lanes' working memory
+_BLOCK_LANES = 2**14
+# steps between merges of the excursions' visit logs
+_MERGE_STEPS = 256
 
 
 class ExcursionCapExceeded(RuntimeError):
@@ -79,67 +88,98 @@ class RegenerationEstimate:
     lengths: np.ndarray
 
 
-def _offspring_sum(marginal, z: int, rng: np.random.Generator) -> int:
-    counts = rng.multinomial(z, marginal._probs_arr)
-    return sum(int(c) * int(v) for c, v in zip(counts, marginal._vals_arr))
-
-
-def _step_full(
-    z: int, env: EnvironmentLaw, imm: ImmigrationPair, rng: np.random.Generator
-) -> tuple[int, float, bool]:
-    side = int(rng.integers(0, 2))
-    law = env.sample(rng)
-    marginal = law.marginal(side)
-    total = _offspring_sum(marginal, z, rng) if z > 0 else 0
-    total += int(imm.law_for_state(z).sample(rng))
-    if total > STATE_CAP:
-        return STATE_CAP, marginal.mean, True
-    return total, marginal.mean, False
+def _lanes(k0: int, n: int) -> np.ndarray:
+    if k0 < 0:
+        raise ValueError(f"start state {k0} must be nonnegative")
+    return np.full(n, k0, dtype=np.int64)
 
 
 def step(
     z: int, env: EnvironmentLaw, imm: ImmigrationPair, rng: np.random.Generator
 ) -> tuple[int, float]:
     """Advance the chain one division; returns (new state, realized mean)."""
-    if z < 0:
-        raise ValueError("state must be nonnegative")
-    new, mean, _ = _step_full(z, env, imm, rng)
-    return new, mean
+    mean = np.empty(1)
+    new = batch_step(_lanes(z, 1), env, imm, rng, means_out=mean)
+    return int(new[0]), float(mean[0])
 
 
 def simulate_path(
     k0: int, n: int, env: EnvironmentLaw, imm: ImmigrationPair, rng: np.random.Generator
 ) -> LineageTrajectory:
     """Simulate n divisions starting from k0 parasites."""
+    lane = _lanes(k0, 1)
     states = np.empty(n + 1, dtype=np.int64)
     means = np.empty(n, dtype=float)
-    normalizer = np.empty(n + 1, dtype=float)
     states[0] = k0
-    normalizer[0] = 1.0
-    z = k0
-    saturated = False
     for i in range(n):
-        z, mean, sat = _step_full(z, env, imm, rng)
-        saturated |= sat
-        states[i + 1] = z
-        means[i] = mean
-        normalizer[i + 1] = normalizer[i] * mean
+        lane = batch_step(lane, env, imm, rng, means_out=means[i : i + 1])
+        states[i + 1] = lane[0]
+    normalizer = np.concatenate(([1.0], np.cumprod(means)))
     return LineageTrajectory(states=states, env_means=means, normalizer=normalizer,
-                             saturated=saturated)
+                             saturated=bool(states.max() >= BATCH_STATE_CAP))
+
+
+def _merge_visits(
+    seen: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pool (excursion id, state, visits) arrays, summing repeated (id, state) pairs."""
+    ids, states, visits = (np.concatenate(column) for column in zip(*seen))
+    order = np.lexsort((states, ids))
+    ids, states, visits = ids[order], states[order], visits[order]
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = (ids[1:] != ids[:-1]) | (states[1:] != states[:-1])
+    starts = np.flatnonzero(first)
+    return ids[starts], states[starts], np.add.reduceat(visits, starts)
+
+
+def _excursions(
+    k0: int, env: EnvironmentLaw, imm: ImmigrationPair, rng: np.random.Generator, n: int, cap: int
+) -> tuple[np.ndarray, np.ndarray, dict[int, int]]:
+    """Run n independent excursions from k0 to the first visit of 0, one lane each.
+
+    Blocks of at most ``_BLOCK_LANES`` lanes advance together through
+    ``batch_step``, and each lane drops out at its return.  Returns each
+    excursion's return time (``cap`` when capped), the capped mask, and the
+    visit counts of the nonzero states that completed excursions passed
+    through before their return.
+    """
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    times = np.full(n, cap, dtype=np.int64)
+    capped = np.zeros(n, dtype=bool)
+    visits: dict[int, int] = {}
+    for first in range(0, n, _BLOCK_LANES):
+        ids = np.arange(first, min(n, first + _BLOCK_LANES))
+        states = _lanes(k0, len(ids))
+        # (excursion id, state, visits) of every nonzero visit; merged every
+        # _MERGE_STEPS steps, so a lane stuck in few states holds few entries
+        seen = [(ids[:0], states[:0], ids[:0])]
+        for t in range(1, cap + 1):
+            if not len(ids):
+                break
+            states = batch_step(states, env, imm, rng)
+            back = states == 0
+            times[ids[back]] = t
+            ids, states = ids[~back], states[~back]
+            seen.append((ids, states, np.ones_like(ids)))
+            if len(seen) > _MERGE_STEPS:
+                seen = [_merge_visits(seen)]
+        capped[ids] = True
+        lane_ids, lane_states, lane_visits = _merge_visits(seen)
+        kept = ~capped[lane_ids]
+        values, inverse = np.unique(lane_states[kept], return_inverse=True)
+        counts = np.bincount(inverse, weights=lane_visits[kept], minlength=len(values))
+        for v, c in zip(values.tolist(), counts.tolist()):
+            visits[v] = visits.get(v, 0) + int(c)
+    return times, capped, visits
 
 
 def hitting_time(
     k0: int, env: EnvironmentLaw, imm: ImmigrationPair, rng: np.random.Generator, cap: int
 ) -> int | None:
     """First division index at which the cell line is parasite-free; None if capped."""
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    z = k0
-    for i in range(1, cap + 1):
-        z, _, _ = _step_full(z, env, imm, rng)
-        if z == 0:
-            return i
-    return None
+    times, capped, _ = _excursions(k0, env, imm, rng, 1, cap)
+    return None if capped[0] else int(times[0])
 
 
 def collect_hitting_times(
@@ -151,16 +191,8 @@ def collect_hitting_times(
     cap: int = 100_000,
 ) -> HittingSummary:
     """Sample return times, recording capped runs at the cap value."""
-    times = np.empty(samples, dtype=np.int64)
-    capped = 0
-    for i in range(samples):
-        t = hitting_time(k0, env, imm, rng, cap)
-        if t is None:
-            times[i] = cap
-            capped += 1
-        else:
-            times[i] = t
-    return HittingSummary(times=times, cap=cap, capped_fraction=capped / samples)
+    times, capped, _ = _excursions(k0, env, imm, rng, samples, cap)
+    return HittingSummary(times=times, cap=cap, capped_fraction=int(capped.sum()) / samples)
 
 
 def _warn_if_not_ergodic(env: EnvironmentLaw, imm: ImmigrationPair) -> None:
@@ -194,36 +226,17 @@ def stationary_by_regeneration(
     raises.
     """
     _warn_if_not_ergodic(env, imm)
-    visits: dict[int, int] = {}
-    lengths = np.empty(excursions, dtype=np.int64)
-    completed = 0
-    capped = 0
-    for _ in range(excursions):
-        local: dict[int, int] = {0: 1}
-        z = 0
-        length = None
-        for t in range(1, cap + 1):
-            z, _, _ = _step_full(z, env, imm, rng)
-            if z == 0:
-                length = t
-                break
-            local[z] = local.get(z, 0) + 1
-        if length is None:
-            capped += 1
-            continue
-        for state, c in local.items():
-            visits[state] = visits.get(state, 0) + c
-        lengths[completed] = length
-        completed += 1
-    capped_fraction = capped / excursions
+    times, capped, visits = _excursions(0, env, imm, rng, excursions, cap)
+    capped_fraction = int(capped.sum()) / excursions
     if capped_fraction > 0.01:
         raise ExcursionCapExceeded(
             f"{capped_fraction:.1%} of excursions hit the cap of {cap} steps"
         )
-    lengths = lengths[:completed]
+    lengths = times[~capped]
+    completed = len(lengths)
     total_length = int(lengths.sum())
     return RegenerationEstimate(
-        measure=EmpiricalMeasure.from_counts(visits),
+        measure=EmpiricalMeasure.from_counts({0: completed, **visits}),
         u_infinity=completed / total_length,
         excursions=completed,
         total_length=total_length,
@@ -239,44 +252,6 @@ def normalized_process(trajectory: LineageTrajectory) -> np.ndarray:
     return trajectory.states / trajectory.normalizer
 
 
-def simulate_coupled_pair(
-    k_low: int,
-    k_high: int,
-    n: int,
-    env: EnvironmentLaw,
-    imm: ImmigrationPair,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two chains from ordered starts sharing every draw, prefix-wise.
-
-    The higher chain reuses the lower chain's per-parasite offspring draws as
-    a prefix and both receive the same immigration draw while both are
-    positive, so the pathwise ordering is preserved by construction.  The
-    coupling runs until the lower chain dies or n steps pass.
-    """
-    if k_low > k_high:
-        raise ValueError("k_low must not exceed k_high")
-    lo, hi = k_low, k_high
-    path_lo, path_hi = [lo], [hi]
-    for _ in range(n):
-        side = int(rng.integers(0, 2))
-        marginal = env.sample(rng).marginal(side)
-        draws = marginal.sample_many(rng, hi) if hi > 0 else np.empty(0, dtype=np.int64)
-        s_lo = int(draws[:lo].sum())
-        s_hi = int(draws.sum())
-        if lo > 0:
-            y = int(imm.y1.sample(rng))
-            lo, hi = s_lo + y, s_hi + y
-        else:
-            lo = s_lo + int(imm.y0.sample(rng))
-            hi = s_hi + int(imm.y1.sample(rng))
-        path_lo.append(lo)
-        path_hi.append(hi)
-        if lo == 0:
-            break
-    return np.array(path_lo), np.array(path_hi)
-
-
 # ---------------------------------------------------------------------------
 # Vectorized batch runners
 
@@ -286,9 +261,9 @@ def batch_step(
     env: EnvironmentLaw,
     imm: ImmigrationPair,
     rng: np.random.Generator,
-    log_means_out: np.ndarray | None = None,
+    means_out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Advance every path one division; optionally records log realized means."""
+    """Advance every path one division; optionally records realized means."""
     n_paths = len(states)
     comps = env.sample_indices(rng, n_paths)
     sides = rng.integers(0, 2, size=n_paths)
@@ -303,10 +278,8 @@ def batch_step(
             if np.any(x > 0):
                 counts = multinomial_counts(rng, x, marginal._probs_arr)
                 offspring[mask] = capped_sum(counts, marginal._vals_arr, x)
-            if log_means_out is not None:
-                if marginal.mean <= 0.0:
-                    raise DegenerateMarginal("normalized batch needs positive realized means")
-                log_means_out[mask] = math.log(marginal.mean)
+            if means_out is not None:
+                means_out[mask] = marginal.mean
     was_zero = states == 0
     immigration = np.zeros(n_paths, dtype=np.int64)
     immigration[was_zero] = imm.y0.sample_many(rng, int(was_zero.sum()))
@@ -323,7 +296,7 @@ def simulate_states_batch(
     checkpoints: list[int],
 ) -> dict[int, np.ndarray]:
     """Many independent paths at once; returns states at each checkpoint."""
-    states = np.full(n_paths, k0, dtype=np.int64)
+    states = _lanes(k0, n_paths)
     wanted = sorted(set(checkpoints))
     out: dict[int, np.ndarray] = {}
     if wanted and wanted[0] == 0:
@@ -346,17 +319,22 @@ def simulate_normalized_batch(
     checkpoints: list[int],
 ) -> dict[int, np.ndarray]:
     """Mean-normalized populations at each checkpoint, across many paths."""
-    states = np.full(n_paths, k0, dtype=np.int64)
+    states = _lanes(k0, n_paths)
     log_pi = np.zeros(n_paths)
-    step_logs = np.empty(n_paths)
+    step_means = np.empty(n_paths)
+    # one math.log per realized marginal mean: np.log can differ from it in the last bit
+    means = np.unique([law.marginal(side).mean for law in env.laws for side in (0, 1)])
+    logs = np.array([math.log(m) if m > 0.0 else -math.inf for m in means])
     wanted = sorted(set(checkpoints))
     out: dict[int, np.ndarray] = {}
     if wanted and wanted[0] == 0:
         out[0] = states.astype(float)
         wanted = wanted[1:]
     for t in range(1, (wanted[-1] if wanted else 0) + 1):
-        states = batch_step(states, env, imm, rng, log_means_out=step_logs)
-        log_pi += step_logs
+        states = batch_step(states, env, imm, rng, means_out=step_means)
+        if (step_means <= 0.0).any():
+            raise DegenerateMarginal("normalized batch needs positive realized means")
+        log_pi += logs[np.searchsorted(means, step_means)]
         if wanted and t == wanted[0]:
             out[t] = states * np.exp(-log_pi)
             wanted = wanted[1:]

@@ -70,9 +70,14 @@ class GenerationLedger:
 
     @classmethod
     def from_histogram(cls, n: int, histogram: dict[int, int], cells: int) -> "GenerationLedger":
+        """Ledger that keeps ``histogram`` itself, not a copy.
+
+        A deep generation's histogram holds millions of states, too many to
+        copy; every caller hands over a dict built for the ledger.
+        """
         infected = cells - histogram.get(0, 0)
         total = sum(k * c for k, c in histogram.items())
-        return cls(n=n, histogram=dict(histogram), cells=cells, infected=infected,
+        return cls(n=n, histogram=histogram, cells=cells, infected=infected,
                    parasites_total=total)
 
     def proportions(self) -> dict[int, float]:

@@ -58,10 +58,10 @@ class TestBinomialSplit:
     @pytest.mark.parametrize("p", [0.5, 0.3])
     def test_brood_past_float_binomial_coefficients(self, p):
         # C(2000, 1000) ~ 2e600 does not fit a float; those terms go through log space
-        env = build_binomial_split(FiniteLaw.delta(2000), [(p, 1.0)])
-        law = single(env)
-        assert abs(law.pair_probs.sum() - 1.0) < 1e-12
-        assert abs(law.marginal(0).mean - 2000 * p) < 1e-9
+        for z in (2000, 20000):
+            law = single(build_binomial_split(FiniteLaw.delta(z), [(p, 1.0)]))
+            assert abs(law.pair_probs.sum() - 1.0) < 1e-12
+            assert abs(law.marginal(0).mean - z * p) < 1e-9 * z / 2000
 
     @given(
         z_probs=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4),
@@ -189,7 +189,7 @@ class TestSampling:
     def test_single_component_always_returned(self):
         env = build_binomial_split(FiniteLaw.delta(2), [(0.5, 1.0)])
         rng = np.random.default_rng(0)
-        assert env.sample(rng) is env.components[0][0]
+        assert (env.sample_indices(rng, 50) == 0).all()
 
     def test_weighted_component_frequency(self):
         a = BivariateOffspringLaw.delta(1, 1)
@@ -205,26 +205,7 @@ class TestSampling:
         b = BivariateOffspringLaw.delta(2, 2)
         env = EnvironmentLaw(((a, 1.0), (b, 0.0)))
         rng = np.random.default_rng(7)
-        assert all(env.sample(rng) is a for _ in range(50))
-
-    def test_deterministic_pairs(self):
-        rng = np.random.default_rng(0)
-        assert BivariateOffspringLaw.delta(0, 0).sample_pair(rng) == (0, 0)
-        assert BivariateOffspringLaw.delta(2, 2).sample_pair(rng) == (2, 2)
-
-    def test_uniform_pair_first_coordinate_mean(self):
-        law = BivariateOffspringLaw((((1, 0), 0.5), ((0, 1), 0.5)))
-        rng = np.random.default_rng(99)
-        pairs = law.sample_pairs(rng, 10**6)
-        assert abs(pairs[:, 0].mean() - 0.5) < 0.002
-
-    def test_pair_sums_match_per_parasite_draws(self):
-        law = BivariateOffspringLaw((((1, 0), 0.25), ((0, 1), 0.25), ((1, 1), 0.5)))
-        rng = np.random.default_rng(5)
-        s0, s1 = law.sample_pair_sums(10**5, rng)
-        # mean per parasite: E X0 = .75, E X1 = .75, sd of the sum ~ sqrt(n)/2
-        assert abs(s0 / 10**5 - 0.75) < 0.01
-        assert abs(s1 / 10**5 - 0.75) < 0.01
+        assert (env.sample_indices(rng, 50) == 0).all()
 
 
 class TestValidation:
@@ -312,8 +293,3 @@ class TestImmigrationPair:
     def test_state_independent_escape_hatch(self):
         pair = ImmigrationPair.state_independent(FiniteLaw.delta(1))
         assert pair.y0 is pair.y1
-
-    def test_law_for_state(self):
-        pair = ImmigrationPair(FiniteLaw.bernoulli(0.5), FiniteLaw.delta(0))
-        assert pair.law_for_state(0) is pair.y0
-        assert pair.law_for_state(3) is pair.y1

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from cellbranch import lineage
 from cellbranch._sampling import BATCH_STATE_CAP, capped_sum
 from cellbranch.laws import (
-    STATE_CAP,
     BivariateOffspringLaw,
     DegenerateMarginal,
     EnvironmentLaw,
@@ -20,7 +20,6 @@ from cellbranch.lineage import (
     collect_hitting_times,
     hitting_time,
     normalized_process,
-    simulate_coupled_pair,
     simulate_normalized_batch,
     simulate_path,
     simulate_states_batch,
@@ -105,7 +104,7 @@ class TestSimulatePath:
         rng = np.random.default_rng(6)
         traj = simulate_path(1, 70, env, ImmigrationPair.zero(), rng)
         assert traj.saturated
-        assert traj.states.max() == STATE_CAP
+        assert traj.states.max() == BATCH_STATE_CAP
 
     def test_deterministic_given_seed(self):
         env, imm = sub_geom()
@@ -166,6 +165,31 @@ class TestRegeneration:
         exact = stationary_solve(build_kernel(env, imm, 64))
         assert tv_distance(est.measure, exact.pmf) < 0.02
 
+    def test_capped_excursions_leave_no_visits(self):
+        # an infected cell keeps exactly one parasite forever, so it never returns
+        env = EnvironmentLaw(((BivariateOffspringLaw.delta(1, 1), 1.0),))
+        imm = ImmigrationPair(FiniteLaw.bernoulli(0.005), FiniteLaw.delta(0))
+        rng = np.random.default_rng(22)
+        with pytest.warns(UserWarning):
+            est = stationary_by_regeneration(env, imm, rng, excursions=2000, cap=50)
+        capped = round(est.capped_fraction * 2000)
+        assert est.capped_fraction > 0
+        assert est.measure.as_dict() == {0: 1.0}
+        assert est.u_infinity == 1.0
+        assert est.measure.total == est.total_length
+        assert est.excursions + capped == 2000
+
+    def test_visit_log_merges_leave_the_estimate_unchanged(self, monkeypatch):
+        env, imm = sub_geom()
+        runs = []
+        for merge_steps in (1, 10**9):
+            monkeypatch.setattr(lineage, "_MERGE_STEPS", merge_steps)
+            est = stationary_by_regeneration(env, imm, np.random.default_rng(23), 5000, cap=35)
+            assert est.measure.total == est.total_length
+            runs.append((est.measure.counts, est.total_length, est.capped_fraction))
+        assert runs[0] == runs[1]
+        assert runs[0][2] > 0
+
     def test_supercritical_warns_and_caps(self):
         env = super_env()
         imm = ImmigrationPair(FiniteLaw.bernoulli(0.5), FiniteLaw.delta(0))
@@ -203,19 +227,22 @@ class TestNormalizedProcess:
         assert abs(w.mean() - 0.5) < 0.02
 
 
-class TestMonotoneCoupling:
-    def test_pathwise_dominance(self):
-        env, imm = sub_geom()
-        for seed in range(25):
-            rng = np.random.default_rng(seed)
-            lo, hi = simulate_coupled_pair(1, 4, 40, env, imm, rng)
-            assert np.all(lo <= hi)
-
-    def test_equal_starts_stay_equal(self):
-        env, imm = sub_binom()
-        rng = np.random.default_rng(42)
-        lo, hi = simulate_coupled_pair(3, 3, 30, env, imm, rng)
-        assert np.array_equal(lo, hi)
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(lambda *model: simulate_path(-3, 4, *model), id="simulate_path"),
+        pytest.param(lambda *model: hitting_time(-2, *model, cap=10), id="hitting_time"),
+        pytest.param(lambda *model: collect_hitting_times(-2, *model, samples=5),
+                     id="collect_hitting_times"),
+        pytest.param(lambda *model: simulate_states_batch(-3, *model, 4, [1]),
+                     id="simulate_states_batch"),
+        pytest.param(lambda *model: simulate_normalized_batch(-3, *model, 4, [1]),
+                     id="simulate_normalized_batch"),
+    ],
+)
+def test_negative_start_rejected(run):
+    with pytest.raises(ValueError, match="nonnegative"):
+        run(*toy_chain(), np.random.default_rng(0))
 
 
 class TestBatchAgainstOracle:
