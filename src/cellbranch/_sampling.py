@@ -8,6 +8,13 @@ import numpy as np
 BATCH_STATE_CAP = 2**53
 
 
+def start_lanes(k0: int, n: int) -> np.ndarray:
+    """n copies of the start state k0, which must be nonnegative."""
+    if k0 < 0:
+        raise ValueError(f"start state {k0} must be nonnegative")
+    return np.full(n, k0, dtype=np.int64)
+
+
 def multinomial_counts(
     rng: np.random.Generator, n: np.ndarray, probs: np.ndarray
 ) -> np.ndarray:

@@ -16,6 +16,7 @@ with status 2; simulation failures with 1.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -99,10 +100,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.seed is not None:
-        cfg = type(cfg)(
-            seed=args.seed, env=cfg.env, imm=cfg.imm, k0=cfg.k0,
-            experiment=cfg.experiment, output_dir=cfg.output_dir, raw=cfg.raw,
-        )
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     out_dir = _resolve_out(args, cfg.output_dir)
 
     if args.command == "classify":
@@ -131,10 +129,7 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    cfg = type(cfg)(
-        seed=cfg.seed, env=cfg.env, imm=cfg.imm, k0=cfg.k0,
-        experiment=experiment, output_dir=cfg.output_dir, raw=cfg.raw,
-    )
+    cfg = dataclasses.replace(cfg, experiment=experiment)
     try:
         started = time.time()
         outputs = run_experiment(cfg, out_dir, workers=args.workers)

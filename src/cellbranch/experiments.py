@@ -28,7 +28,7 @@ from .oracle import (
     stationary_solve,
 )
 from .runio import write_csv, write_json, write_manifest
-from .tree import iter_forest_bfs, simulate_tree_bfs, simulate_tree_dfs
+from .tree import _tally, iter_forest_bfs, simulate_tree_bfs, simulate_tree_dfs
 
 LINEAGE_DOMAIN = 1
 TREE_DOMAIN = 2
@@ -93,28 +93,26 @@ def run_lineage(
 def _tree_block(job) -> list[tuple[int, int, int, int]]:
     env, imm, k0, n_max, traversal, seed, block_index, start_run, count = job
     rng = substream(seed, TREE_DOMAIN, block_index)
-    rows: list[tuple[int, int, int, int]] = []
+    runs = range(start_run, start_run + count)
     if traversal == "dfs":
-        for local in range(count):
-            ledger = simulate_tree_dfs(k0, n_max, env, imm, rng)
-            run_id = start_run + local
-            rows.extend((run_id, n_max, k, c) for k, c in sorted(ledger.histogram.items()))
-        return rows
-    if imm.is_zero_pair:
-        for local in range(count):
-            run_id = start_run + local
-            for ledger in simulate_tree_bfs(k0, n_max, env, imm, rng):
-                rows.extend(
-                    (run_id, ledger.n, k, c) for k, c in sorted(ledger.histogram.items())
-                )
-        return rows
-    for g, states in iter_forest_bfs(k0, n_max, env, imm, rng, count):
-        for local in range(count):
-            vals, cnts = np.unique(states[local], return_counts=True)
-            rows.extend(
-                (start_run + local, g, int(v), int(c)) for v, c in zip(vals, cnts)
-            )
-    return rows
+        ledgers = ((run_id, simulate_tree_dfs(k0, n_max, env, imm, rng)) for run_id in runs)
+    elif imm.is_zero_pair:
+        ledgers = (
+            (run_id, ledger)
+            for run_id in runs
+            for ledger in simulate_tree_bfs(k0, n_max, env, imm, rng)
+        )
+    else:
+        ledgers = (
+            (run_id, _tally(g, row, 2**g))
+            for g, states in iter_forest_bfs(k0, n_max, env, imm, rng, count)
+            for run_id, row in zip(runs, states)
+        )
+    return [
+        (run_id, ledger.n, k, c)
+        for run_id, ledger in ledgers
+        for k, c in zip(ledger.values.tolist(), ledger.counts.tolist())
+    ]
 
 
 def run_tree(

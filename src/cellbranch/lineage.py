@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sampling import BATCH_STATE_CAP, capped_sum, multinomial_counts
+from ._sampling import BATCH_STATE_CAP, capped_sum, multinomial_counts, start_lanes
 from .laws import (
     DegenerateMarginal,
     EnvironmentLaw,
@@ -88,18 +88,12 @@ class RegenerationEstimate:
     lengths: np.ndarray
 
 
-def _lanes(k0: int, n: int) -> np.ndarray:
-    if k0 < 0:
-        raise ValueError(f"start state {k0} must be nonnegative")
-    return np.full(n, k0, dtype=np.int64)
-
-
 def step(
     z: int, env: EnvironmentLaw, imm: ImmigrationPair, rng: np.random.Generator
 ) -> tuple[int, float]:
     """Advance the chain one division; returns (new state, realized mean)."""
     mean = np.empty(1)
-    new = batch_step(_lanes(z, 1), env, imm, rng, means_out=mean)
+    new = batch_step(start_lanes(z, 1), env, imm, rng, means_out=mean)
     return int(new[0]), float(mean[0])
 
 
@@ -107,7 +101,7 @@ def simulate_path(
     k0: int, n: int, env: EnvironmentLaw, imm: ImmigrationPair, rng: np.random.Generator
 ) -> LineageTrajectory:
     """Simulate n divisions starting from k0 parasites."""
-    lane = _lanes(k0, 1)
+    lane = start_lanes(k0, 1)
     states = np.empty(n + 1, dtype=np.int64)
     means = np.empty(n, dtype=float)
     states[0] = k0
@@ -150,7 +144,7 @@ def _excursions(
     visits: dict[int, int] = {}
     for first in range(0, n, _BLOCK_LANES):
         ids = np.arange(first, min(n, first + _BLOCK_LANES))
-        states = _lanes(k0, len(ids))
+        states = start_lanes(k0, len(ids))
         # (excursion id, state, visits) of every nonzero visit; merged every
         # _MERGE_STEPS steps, so a lane stuck in few states holds few entries
         seen = [(ids[:0], states[:0], ids[:0])]
@@ -296,7 +290,7 @@ def simulate_states_batch(
     checkpoints: list[int],
 ) -> dict[int, np.ndarray]:
     """Many independent paths at once; returns states at each checkpoint."""
-    states = _lanes(k0, n_paths)
+    states = start_lanes(k0, n_paths)
     wanted = sorted(set(checkpoints))
     out: dict[int, np.ndarray] = {}
     if wanted and wanted[0] == 0:
@@ -319,7 +313,7 @@ def simulate_normalized_batch(
     checkpoints: list[int],
 ) -> dict[int, np.ndarray]:
     """Mean-normalized populations at each checkpoint, across many paths."""
-    states = _lanes(k0, n_paths)
+    states = start_lanes(k0, n_paths)
     log_pi = np.zeros(n_paths)
     step_means = np.empty(n_paths)
     # one math.log per realized marginal mean: np.log can differ from it in the last bit

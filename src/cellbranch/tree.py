@@ -15,6 +15,10 @@ in blocks of at most 2^16 sibling cells, each advanced by the same
 generation step, so it holds O(depth * 2^16) cells and tallies only the
 target generation.
 
+A ledger stores a generation as the distinct parasite counts and the number
+of cells holding each, two int64 arrays straight from ``np.unique``; every
+ledger from cell states is tallied by ``_tally``.
+
 The total parasite count across a generation is itself a Markov chain
 whenever each parasite's total brood size has the same law in every realized
 environment and contamination ignores the cell state; ``simulate_parasite_totals``
@@ -30,7 +34,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._sampling import BATCH_STATE_CAP, capped_sum, multinomial_counts
+from ._sampling import BATCH_STATE_CAP, capped_sum, multinomial_counts, start_lanes
 from .laws import (
     EnvironmentLaw,
     FiniteLaw,
@@ -50,38 +54,44 @@ class DepthTooLarge(ValueError):
     """Requested tree depth exceeds the configured traversal bound."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GenerationLedger:
-    """Per-generation tally: histogram of parasite counts over all cells."""
+    """Parasite counts over the 2^n cells of generation n.
+
+    ``values`` holds the distinct parasite counts in increasing order and
+    ``counts[i]`` the number of cells carrying ``values[i]``, both int64.
+    ``cells``, ``infected`` and the exact ``parasites_total`` are derived
+    from the two arrays; ``histogram`` copies them into a dict.
+    """
 
     n: int
-    histogram: dict[int, int]
-    cells: int
-    infected: int
-    parasites_total: int
+    values: np.ndarray
+    counts: np.ndarray
 
-    def __post_init__(self):
-        if sum(self.histogram.values()) != self.cells:
-            raise ValueError("histogram must cover every cell")
-        if self.cells - self.histogram.get(0, 0) != self.infected:
-            raise ValueError("infected count inconsistent with histogram")
-        if sum(k * c for k, c in self.histogram.items()) != self.parasites_total:
-            raise ValueError("parasite total inconsistent with histogram")
+    @property
+    def cells(self) -> int:
+        return int(self.counts.sum())
 
-    @classmethod
-    def from_histogram(cls, n: int, histogram: dict[int, int], cells: int) -> "GenerationLedger":
-        """Ledger that keeps ``histogram`` itself, not a copy.
+    @property
+    def infected(self) -> int:
+        free = int(self.counts[0]) if self.values[0] == 0 else 0
+        return self.cells - free
 
-        A deep generation's histogram holds millions of states, too many to
-        copy; every caller hands over a dict built for the ledger.
+    @property
+    def parasites_total(self) -> int:
+        """Exact parasite count of the generation, a Python int.
+
+        Summed in int64 when the largest value times the cell count cannot
+        wrap, and in Python ints otherwise.
         """
-        infected = cells - histogram.get(0, 0)
-        total = sum(k * c for k, c in histogram.items())
-        return cls(n=n, histogram=histogram, cells=cells, infected=infected,
-                   parasites_total=total)
+        if int(self.values[-1]) * self.cells < 2**63:
+            return int(self.values @ self.counts)
+        return sum(v * c for v, c in zip(self.values.tolist(), self.counts.tolist()))
 
-    def proportions(self) -> dict[int, float]:
-        return {k: c / self.cells for k, c in self.histogram.items()}
+    @property
+    def histogram(self) -> dict[int, int]:
+        """Cells per parasite count, as a dict built on each access."""
+        return dict(zip(self.values.tolist(), self.counts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -104,10 +114,17 @@ class PrefixLedger:
         return {k: c / self.denominator for k, c in self.counts.items()}
 
 
-def _ledger_from_states(n: int, states: np.ndarray) -> GenerationLedger:
-    vals, counts = np.unique(states, return_counts=True)
-    hist = {int(v): int(c) for v, c in zip(vals, counts)}
-    return GenerationLedger.from_histogram(n, hist, cells=len(states))
+def _tally(n: int, states: np.ndarray, cells: int) -> GenerationLedger:
+    """Ledger of generation n, whose ``cells`` cells hold ``states``.
+
+    A contamination-free run keeps only its infected cells, so the
+    ``cells - len(states)`` cells missing from ``states`` are parasite-free.
+    """
+    values, counts = np.unique(states, return_counts=True)
+    if cells > states.size:
+        values = np.concatenate(([0], values))
+        counts = np.concatenate(([cells - states.size], counts))
+    return GenerationLedger(n, values, counts)
 
 
 def advance_generation(
@@ -148,21 +165,6 @@ def advance_generation(
     return out
 
 
-def _advance_infected_only(
-    states: np.ndarray,
-    run_ids: np.ndarray,
-    env: EnvironmentLaw,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-contamination step keeping only infected daughters."""
-    if states.size == 0:
-        return states, run_ids
-    children = advance_generation(states, env, ImmigrationPair.zero(), rng)
-    child_runs = np.repeat(run_ids, 2)
-    keep = children > 0
-    return children[keep], child_runs[keep]
-
-
 def simulate_tree_bfs(
     k0: int,
     n_max: int,
@@ -174,25 +176,15 @@ def simulate_tree_bfs(
     """Breadth-first population run; one ledger per generation 0..n_max."""
     if n_max > max_depth:
         raise DepthTooLarge(f"depth {n_max} exceeds breadth-first bound {max_depth}")
-    if imm.is_zero_pair:
-        ledgers = []
-        states = np.array([k0], dtype=np.int64)
-        states = states[states > 0]
-        runs = np.zeros(len(states), dtype=np.int64)
-        for g in range(n_max + 1):
-            hist = {int(v): int(c) for v, c in zip(*np.unique(states, return_counts=True))}
-            hist[0] = 2**g - len(states)
-            if hist[0] == 0:
-                del hist[0]
-            ledgers.append(GenerationLedger.from_histogram(g, hist, cells=2**g))
-            if g < n_max:
-                states, runs = _advance_infected_only(states, runs, env, rng)
-        return ledgers
-    states = np.array([k0], dtype=np.int64)
-    ledgers = [_ledger_from_states(0, states)]
-    for g in range(1, n_max + 1):
-        states = advance_generation(states, env, imm, rng)
-        ledgers.append(_ledger_from_states(g, states))
+    states = start_lanes(k0, 1)
+    ledgers = []
+    for g in range(n_max + 1):
+        if g > 0 and states.size:
+            states = advance_generation(states, env, imm, rng)
+        if imm.is_zero_pair:
+            # parasite-free cells stay parasite-free: carry only infected ones
+            states = states[states > 0]
+        ledgers.append(_tally(g, states, 2**g))
     return ledgers
 
 
@@ -213,7 +205,7 @@ def iter_forest_bfs(
     """
     if n_max > max_depth:
         raise DepthTooLarge(f"depth {n_max} exceeds breadth-first bound {max_depth}")
-    states = np.full(n_runs, k0, dtype=np.int64)
+    states = start_lanes(k0, n_runs)
     yield 0, states.reshape(n_runs, 1)
     for g in range(1, n_max + 1):
         states = advance_generation(states, env, imm, rng)
@@ -240,24 +232,26 @@ def simulate_tree_dfs(
     """
     if n_target > max_depth:
         raise DepthTooLarge(f"depth {n_target} exceeds depth-first bound {max_depth}")
-    hist: dict[int, int] = {}
-    stack = [(0, np.array([k0], dtype=np.int64))]
+    leaves: list[tuple[np.ndarray, np.ndarray]] = []
+    stack = [(0, start_lanes(k0, 1))]
     while stack:
         depth, states = stack.pop()
         if depth == n_target:
-            vals, counts = np.unique(states, return_counts=True)
-            for k, c in zip(vals.tolist(), counts.tolist()):
-                hist[k] = hist.get(k, 0) + c
+            leaves.append(np.unique(states, return_counts=True))
         elif 2 * states.size > _BLOCK_CELLS:
             half = states.size // 2
             stack.append((depth, states[half:]))
             stack.append((depth, states[:half]))
         else:
             stack.append((depth + 1, advance_generation(states, env, imm, rng)))
+    leaf_values, leaf_counts = zip(*leaves)
+    values, where = np.unique(np.concatenate(leaf_values), return_inverse=True)
+    counts = np.zeros(values.size, dtype=np.int64)
+    np.add.at(counts, where, np.concatenate(leaf_counts))
     if accumulator is not None:
-        for k, c in hist.items():
+        for k, c in zip(values.tolist(), counts.tolist()):
             accumulator[k] = accumulator.get(k, 0) + c
-    return GenerationLedger.from_histogram(n_target, hist, cells=2**n_target)
+    return GenerationLedger(n_target, values, counts)
 
 
 def infected_fraction_series(ledgers: Sequence[GenerationLedger]) -> np.ndarray:
@@ -275,7 +269,7 @@ def prefix_ledgers(ledgers: Sequence[GenerationLedger]) -> list[PrefixLedger]:
     out = []
     counts: dict[int, int] = {}
     for led in ledgers:
-        for k, c in led.histogram.items():
+        for k, c in zip(led.values.tolist(), led.counts.tolist()):
             counts[k] = counts.get(k, 0) + c
         out.append(PrefixLedger(n=led.n, counts=dict(counts), denominator=2 ** (led.n + 1)))
     return out
@@ -356,7 +350,7 @@ def simulate_parasite_totals(
     z_probs = np.asarray(z_law.probs, dtype=float)
 
     totals = np.empty((n_runs, n_max + 1), dtype=np.int64)
-    current = np.full(n_runs, k0, dtype=np.int64)
+    current = start_lanes(k0, n_runs)
     totals[:, 0] = current
     for g in range(1, n_max + 1):
         offspring = capped_sum(multinomial_counts(rng, current, z_probs), z_vals, current)

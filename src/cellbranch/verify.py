@@ -472,8 +472,7 @@ def check_divergence(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     started = time.time()
     env, imm = supercritical_contaminated()
     ledger = simulate_tree_bfs(0, 16, env, imm, _rng(seed, 82))[-1]
-    props = ledger.proportions()
-    worst_prop = max(props.get(k, 0.0) for k in range(6))
+    worst_prop = int(ledger.counts[ledger.values <= 5].max(initial=0)) / ledger.cells
     results.append(
         _timed(
             "divergence/supercritical-tree",

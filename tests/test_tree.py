@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cellbranch._sampling import BATCH_STATE_CAP
+from cellbranch.experiments import TREE_DOMAIN, run_tree, substream
 from cellbranch.laws import (
     BivariateOffspringLaw,
     EnvironmentLaw,
@@ -19,8 +20,8 @@ from cellbranch.presets import subcritical_binomial
 from cellbranch.stats import EmptySeries, EmpiricalMeasure, tv_distance
 from cellbranch.tree import (
     DepthTooLarge,
-    GenerationLedger,
     PrefixLedger,
+    _tally,
     advance_generation,
     collapsed_total_law,
     growth_exponent,
@@ -299,11 +300,92 @@ class TestPrefixLedgers:
             PrefixLedger(n=1, counts={0: 2}, denominator=4)
 
 
-class TestLedgerValidation:
-    def test_inconsistent_totals_rejected(self):
-        with pytest.raises(ValueError):
-            GenerationLedger(n=1, histogram={0: 1, 2: 1}, cells=2, infected=1, parasites_total=3)
+class TestLedgerTally:
+    def test_totals_come_from_the_states(self):
+        states = np.random.default_rng(16).integers(0, 7, size=500)
+        led = _tally(9, states, len(states))
+        assert list(led.values) == sorted(set(states.tolist()))
+        assert led.histogram == {v: int((states == v).sum()) for v in set(states.tolist())}
+        assert led.cells == len(states)
+        assert led.infected == int((states > 0).sum())
+        assert led.parasites_total == sum(states.tolist())
+        assert isinstance(led.parasites_total, int)
 
-    def test_inconsistent_cells_rejected(self):
-        with pytest.raises(ValueError):
-            GenerationLedger(n=1, histogram={0: 1}, cells=2, infected=0, parasites_total=0)
+    def test_zero_pair_ledger_carries_parasite_free_cells(self):
+        # every parasite goes to daughter 0: one infected cell per generation
+        env = EnvironmentLaw(((BivariateOffspringLaw.delta(1, 0), 1.0),))
+        rng = np.random.default_rng(17)
+        ledgers = simulate_tree_bfs(3, 5, env, ImmigrationPair.zero(), rng)
+        assert ledgers[0].histogram == {3: 1}
+        for g, led in enumerate(ledgers[1:], start=1):
+            assert led.histogram == {0: 2**g - 1, 3: 1}
+            assert (led.cells, led.infected, led.parasites_total) == (2**g, 1, 3)
+
+    def test_total_past_int64_is_exact(self):
+        # 2^53 * 2^11 = 2^64 wraps to 0 in an int64 dot product
+        led = _tally(11, np.full(2**11, BATCH_STATE_CAP, dtype=np.int64), 2**11)
+        assert led.parasites_total == 2**64
+        assert led.infected == 2**11
+
+
+def coin_imm():
+    return ImmigrationPair(FiniteLaw.bernoulli(0.5), FiniteLaw.bernoulli(0.5))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda rng: simulate_tree_bfs(-3, 3, sub_env(), toy_imm(), rng),
+        lambda rng: simulate_tree_bfs(-3, 3, sub_env(), ImmigrationPair.zero(), rng),
+        lambda rng: list(iter_forest_bfs(-3, 3, sub_env(), toy_imm(), rng, 4)),
+        lambda rng: simulate_tree_dfs(-3, 3, sub_env(), toy_imm(), rng),
+        lambda rng: simulate_parasite_totals(sub_env(), coin_imm(), -3, 2, rng, 3),
+    ],
+    ids=["bfs", "bfs-zero-pair", "forest", "dfs", "totals"],
+)
+def test_negative_start_rejected(run):
+    with pytest.raises(ValueError, match="nonnegative"):
+        run(np.random.default_rng(0))
+
+
+class TestRunTree:
+    """``run_tree`` rows against the simulators driven on the same block streams."""
+
+    # run_tree's blocks hold 64 runs at these depths
+    BLOCK = 64
+
+    def expected_rows(self, env, imm, k0, n_max, replicates, seed, traversal):
+        rows = []
+        for block, start in enumerate(range(0, replicates, self.BLOCK)):
+            rng = substream(seed, TREE_DOMAIN, block)
+            runs = range(start, min(start + self.BLOCK, replicates))
+            if traversal == "dfs":
+                for run_id in runs:
+                    led = simulate_tree_dfs(k0, n_max, env, imm, rng)
+                    rows += [(run_id, n_max, k, c) for k, c in led.histogram.items()]
+            elif imm.is_zero_pair:
+                for run_id in runs:
+                    for led in simulate_tree_bfs(k0, n_max, env, imm, rng):
+                        rows += [(run_id, led.n, k, c) for k, c in led.histogram.items()]
+            else:
+                for g, states in iter_forest_bfs(k0, n_max, env, imm, rng, len(runs)):
+                    for run_id, row in zip(runs, states):
+                        vals, cnts = np.unique(row, return_counts=True)
+                        rows += [(run_id, g, int(v), int(c)) for v, c in zip(vals, cnts)]
+        return sorted(rows)
+
+    @pytest.mark.parametrize(
+        "traversal, imm, k0",
+        [("bfs", coin_imm(), 1), ("bfs", ImmigrationPair.zero(), 2), ("dfs", coin_imm(), 1)],
+        ids=["contaminated-bfs", "zero-pair-bfs", "dfs"],
+    )
+    def test_rows_match_the_simulators(self, traversal, imm, k0):
+        env = build_binomial_split(FiniteLaw.delta(2), [(0.5, 1.0)])
+        n_max, replicates, seed = 6, 70, 3
+        rows = run_tree(env, imm, k0, n_max, replicates, seed, traversal)
+        groups: dict[tuple[int, int], int] = {}
+        for run_id, n, _, c in rows:
+            groups[run_id, n] = groups.get((run_id, n), 0) + c
+        generations = [n_max] if traversal == "dfs" else range(n_max + 1)
+        assert groups == {(r, n): 2**n for r in range(replicates) for n in generations}
+        assert rows == self.expected_rows(env, imm, k0, n_max, replicates, seed, traversal)
