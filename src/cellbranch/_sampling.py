@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
+
+if TYPE_CHECKING:
+    from .laws import ImmigrationPair
 
 # Batch states saturate here: float64 still counts exactly up to 2**53.
 BATCH_STATE_CAP = 2**53
@@ -49,3 +54,40 @@ def capped_sum(counts: np.ndarray, values: np.ndarray, trials: np.ndarray) -> np
     if int(trials.max(initial=0)) * int(values.max()) < 2**63:
         return np.minimum(counts @ values, BATCH_STATE_CAP)
     return np.minimum(counts @ values.astype(float), BATCH_STATE_CAP).astype(np.int64)
+
+
+def divide(
+    states: np.ndarray,
+    tables: list[tuple[np.ndarray, tuple[np.ndarray, ...]]],
+    picks: np.ndarray,
+    imm: ImmigrationPair,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """One division of every lane: offspring through a drawn table, then contamination.
+
+    Lane i's ``states[i]`` parasites reproduce through ``tables[picks[i]]``,
+    a ``(probs, value_columns)`` pair: one multinomial draw over the table's
+    atoms, summed against each value column, gives one output row per column.
+    Tables none of whose lanes hold a parasite are skipped (a binomial with
+    zero trials draws nothing, so skipping moves no draw).  Each row then
+    gets ``imm.y0`` contamination where the mother was parasite-free and
+    ``imm.y1`` elsewhere, and saturates at ``BATCH_STATE_CAP``.  Returns an
+    int64 array of shape (number of value columns, len(states)).
+    """
+    rows = np.zeros((len(tables[0][1]), len(states)), dtype=np.int64)
+    for t, (probs, columns) in enumerate(tables):
+        mask = picks == t
+        x = states[mask]
+        if x.any():
+            counts = multinomial_counts(rng, x, probs)
+            for row, values in zip(rows, columns):
+                row[mask] = capped_sum(counts, values, x)
+    free = states == 0
+    infected = ~free
+    n_free = np.count_nonzero(free)
+    draws = np.empty(len(states), dtype=np.int64)
+    for row in rows:
+        draws[free] = imm.y0.sample_many(rng, n_free)
+        draws[infected] = imm.y1.sample_many(rng, len(states) - n_free)
+        row += draws
+    return np.minimum(rows, BATCH_STATE_CAP, out=rows)

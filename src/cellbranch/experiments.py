@@ -159,6 +159,8 @@ def run_experiment(cfg: RunConfig, out_dir: Path, workers: int = 1) -> list[str]
         n = int(_require_experiment(cfg, "n"))
         replicates = int(_require_experiment(cfg, "replicates"))
         checkpoints = [int(c) for c in cfg.experiment.get("checkpoints", [n])]
+        if min(checkpoints, default=0) < 0:
+            raise ConfigError(f"checkpoints must be nonnegative, got {checkpoints}")
         merged = run_lineage(cfg.env, cfg.imm, cfg.k0, checkpoints, replicates, cfg.seed, workers)
         rows = [
             (cp, state, count)
@@ -184,6 +186,8 @@ def run_experiment(cfg: RunConfig, out_dir: Path, workers: int = 1) -> list[str]
         n = int(_require_experiment(cfg, "n"))
         replicates = int(_require_experiment(cfg, "replicates"))
         traversal = cfg.experiment.get("traversal", "bfs")
+        if n < 0:
+            raise ConfigError(f"tree depth n must be nonnegative, got {n}")
         rows = run_tree(cfg.env, cfg.imm, cfg.k0, n, replicates, cfg.seed, traversal, workers)
         path = out_dir / "tree_ledgers.csv"
         write_csv(path, ("run_id", "n", "k", "count"), rows)

@@ -247,10 +247,6 @@ class BivariateOffspringLaw:
     def m1(self) -> float:
         return float(self._b @ self._probs)
 
-    @property
-    def max_pair_sum(self) -> int:
-        return int((self._a + self._b).max())
-
     def _build_marginal(self, side: int) -> FiniteLaw:
         vals = self._a if side == 0 else self._b
         acc: dict[int, float] = {}
@@ -293,10 +289,6 @@ class EnvironmentLaw:
     @property
     def weights(self) -> np.ndarray:
         return self._weights
-
-    @property
-    def max_pair_sum(self) -> int:
-        return max(law.max_pair_sum for law, _ in self.components)
 
     def sample_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.minimum(

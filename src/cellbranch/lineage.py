@@ -7,14 +7,18 @@ marginal, then adds contamination: the state-zero law when the cell was
 parasite-free, the infected-state law otherwise.
 
 One vectorized step, ``batch_step``, advances every lane of a state array
-through that construction; every runner here is built on it.  A single
-trajectory is a one-lane run that records the realized reproduction means, so
-the normalized process (state divided by the running product of means) is
-available.  Return times and the regeneration estimate of the stationary law
-come from one laned excursion runner: n independent excursions advance
-together and each lane drops out at its return to the empty state.  States
-saturate at ``BATCH_STATE_CAP`` = 2^53, the one state cap, where float64
-still counts exactly; a trajectory that reaches it is flagged ``saturated``.
+through that construction; every runner here is built on it.  It is the
+tree's division seen from one daughter: each lane's (component, side)
+marginal is one table of ``_sampling.divide``, which also draws the
+contamination and applies the cap.  A single trajectory is a one-lane run
+that records the realized reproduction means, so the normalized process
+(state divided by the running product of means) is available.  The two
+batch runners share one checkpoint loop.  Return times and the regeneration
+estimate of the stationary law come from one laned excursion runner: n
+independent excursions advance together and each lane drops out at its
+return to the empty state.  States saturate at ``BATCH_STATE_CAP`` = 2^53,
+the one state cap, where float64 still counts exactly; a trajectory that
+reaches it is flagged ``saturated``.
 """
 
 from __future__ import annotations
@@ -22,10 +26,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
-from ._sampling import BATCH_STATE_CAP, capped_sum, multinomial_counts, start_lanes
+from ._sampling import BATCH_STATE_CAP, divide, start_lanes
 from .laws import (
     DegenerateMarginal,
     EnvironmentLaw,
@@ -257,28 +262,34 @@ def batch_step(
     rng: np.random.Generator,
     means_out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Advance every path one division; optionally records realized means."""
-    n_paths = len(states)
-    comps = env.sample_indices(rng, n_paths)
-    sides = rng.integers(0, 2, size=n_paths)
-    offspring = np.zeros(n_paths, dtype=np.int64)
-    for ci, (law, _) in enumerate(env.components):
-        for side in (0, 1):
-            mask = (comps == ci) & (sides == side)
-            if not mask.any():
-                continue
-            marginal = law.marginal(side)
-            x = states[mask]
-            if np.any(x > 0):
-                counts = multinomial_counts(rng, x, marginal._probs_arr)
-                offspring[mask] = capped_sum(counts, marginal._vals_arr, x)
-            if means_out is not None:
-                means_out[mask] = marginal.mean
-    was_zero = states == 0
-    immigration = np.zeros(n_paths, dtype=np.int64)
-    immigration[was_zero] = imm.y0.sample_many(rng, int(was_zero.sum()))
-    immigration[~was_zero] = imm.y1.sample_many(rng, int((~was_zero).sum()))
-    return np.minimum(offspring + immigration, BATCH_STATE_CAP)
+    """Advance every path one division; optionally records realized means.
+
+    Each lane draws a component, then a daughter side, and divides through
+    that side's marginal: table ``2 * component + side`` of ``divide``.
+    """
+    marginals = [law.marginal(side) for law in env.laws for side in (0, 1)]
+    comps = env.sample_indices(rng, len(states))
+    picks = 2 * comps + rng.integers(0, 2, size=len(states))
+    tables = [(m._probs_arr, (m._vals_arr,)) for m in marginals]
+    new = divide(states, tables, picks, imm, rng)[0]
+    if means_out is not None:
+        means_out[:] = np.array([m.mean for m in marginals])[picks]
+    return new
+
+
+def _checkpointed(
+    k0: int, n_paths: int, checkpoints: list[int], advance: Callable[[np.ndarray], np.ndarray]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (t, states) at each checkpoint t of n_paths lanes from k0, stepped by ``advance``."""
+    states = start_lanes(k0, n_paths)
+    wanted = set(checkpoints)
+    if min(wanted, default=0) < 0:
+        raise ValueError(f"checkpoint {min(wanted)} must be nonnegative")
+    for t in range(max(wanted, default=-1) + 1):
+        if t > 0:
+            states = advance(states)
+        if t in wanted:
+            yield t, states
 
 
 def simulate_states_batch(
@@ -290,18 +301,8 @@ def simulate_states_batch(
     checkpoints: list[int],
 ) -> dict[int, np.ndarray]:
     """Many independent paths at once; returns states at each checkpoint."""
-    states = start_lanes(k0, n_paths)
-    wanted = sorted(set(checkpoints))
-    out: dict[int, np.ndarray] = {}
-    if wanted and wanted[0] == 0:
-        out[0] = states.copy()
-        wanted = wanted[1:]
-    for t in range(1, (wanted[-1] if wanted else 0) + 1):
-        states = batch_step(states, env, imm, rng)
-        if wanted and t == wanted[0]:
-            out[t] = states.copy()
-            wanted = wanted[1:]
-    return out
+    return dict(_checkpointed(k0, n_paths, checkpoints,
+                              lambda states: batch_step(states, env, imm, rng)))
 
 
 def simulate_normalized_batch(
@@ -313,23 +314,18 @@ def simulate_normalized_batch(
     checkpoints: list[int],
 ) -> dict[int, np.ndarray]:
     """Mean-normalized populations at each checkpoint, across many paths."""
-    states = start_lanes(k0, n_paths)
     log_pi = np.zeros(n_paths)
     step_means = np.empty(n_paths)
     # one math.log per realized marginal mean: np.log can differ from it in the last bit
     means = np.unique([law.marginal(side).mean for law in env.laws for side in (0, 1)])
     logs = np.array([math.log(m) if m > 0.0 else -math.inf for m in means])
-    wanted = sorted(set(checkpoints))
-    out: dict[int, np.ndarray] = {}
-    if wanted and wanted[0] == 0:
-        out[0] = states.astype(float)
-        wanted = wanted[1:]
-    for t in range(1, (wanted[-1] if wanted else 0) + 1):
+
+    def advance(states):
         states = batch_step(states, env, imm, rng, means_out=step_means)
         if (step_means <= 0.0).any():
             raise DegenerateMarginal("normalized batch needs positive realized means")
-        log_pi += logs[np.searchsorted(means, step_means)]
-        if wanted and t == wanted[0]:
-            out[t] = states * np.exp(-log_pi)
-            wanted = wanted[1:]
-    return out
+        log_pi[:] += logs[np.searchsorted(means, step_means)]
+        return states
+
+    return {t: states * np.exp(-log_pi)
+            for t, states in _checkpointed(k0, n_paths, checkpoints, advance)}

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Iterable, Mapping, Union
 
 import numpy as np
@@ -79,43 +80,13 @@ def tv_distance(p: Distribution, q: Distribution) -> float:
     return 0.5 * sum(abs(dp.get(k, 0.0) - dq.get(k, 0.0)) for k in keys)
 
 
-def _normal_quantile(prob: float) -> float:
-    """Inverse standard normal CDF (Acklam's rational approximation, ~1e-9)."""
-    if not 0.0 < prob < 1.0:
-        raise ValueError("quantile probability must be in (0, 1)")
-    a = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-         1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-    b = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-         6.680131188771972e01, -1.328068155288572e01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-         -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-         3.754408661907416e00)
-    p_low = 0.02425
-    if prob < p_low:
-        q = math.sqrt(-2.0 * math.log(prob))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    if prob > 1.0 - p_low:
-        q = math.sqrt(-2.0 * math.log(1.0 - prob))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    q = prob - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-        ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-    )
-
-
 def proportion_ci(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("need at least one trial")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
-    z = _normal_quantile(0.5 + level / 2.0)
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -178,7 +149,7 @@ def sqrtn_stabilization(
     if len(ns) < 2:
         raise ValueError("need at least two population sizes to compare")
     means, variances, cis = [], [], []
-    z = _normal_quantile(0.5 + level / 2.0)
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     for n in ns:
         arr = np.asarray(list(samples_by_n[n]), dtype=float)
         if len(arr) < 100:

@@ -5,7 +5,9 @@ parasites draws one offspring mechanism from the environment, its x parasites
 reproduce through that mechanism's joint law (child goes to daughter 0 or
 daughter 1), and each daughter independently receives contamination: from the
 state-zero law when the mother was parasite-free, from the infected-state law
-otherwise.
+otherwise.  ``advance_generation`` draws that division through
+``_sampling.divide``, one table per environment component holding the joint
+pair law; the random cell line takes the same step from one daughter.
 
 Two traversals cover the practical depth range.  The breadth-first simulator
 advances whole generations as arrays and keeps a ledger per generation; runs
@@ -34,7 +36,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._sampling import BATCH_STATE_CAP, capped_sum, multinomial_counts, start_lanes
+from ._sampling import BATCH_STATE_CAP, capped_sum, divide, multinomial_counts, start_lanes
 from .laws import (
     EnvironmentLaw,
     FiniteLaw,
@@ -52,6 +54,13 @@ _BLOCK_CELLS = 2**16
 
 class DepthTooLarge(ValueError):
     """Requested tree depth exceeds the configured traversal bound."""
+
+
+def _check_depth(n: int, max_depth: int, traversal: str) -> None:
+    if n < 0:
+        raise ValueError(f"depth {n} must be nonnegative")
+    if n > max_depth:
+        raise DepthTooLarge(f"depth {n} exceeds {traversal} bound {max_depth}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,28 +150,8 @@ def advance_generation(
     states = np.asarray(cells, dtype=np.int64)
     if states.size == 0:
         raise ValueError("need at least one cell")
-    n = states.size
-    comps = env.sample_indices(rng, n)
-    s0 = np.zeros(n, dtype=np.int64)
-    s1 = np.zeros(n, dtype=np.int64)
-    for ci, (law, _) in enumerate(env.components):
-        mask = comps == ci
-        if not mask.any():
-            continue
-        x = states[mask]
-        a, b = law.pair_values
-        counts = multinomial_counts(rng, x, law.pair_probs)
-        s0[mask] = capped_sum(counts, a, x)
-        s1[mask] = capped_sum(counts, b, x)
-    was_zero = states == 0
-    n_zero = int(was_zero.sum())
-    for d in (s0, s1):
-        d[was_zero] += imm.y0.sample_many(rng, n_zero)
-        d[~was_zero] += imm.y1.sample_many(rng, n - n_zero)
-    out = np.empty(2 * n, dtype=np.int64)
-    out[0::2] = np.minimum(s0, BATCH_STATE_CAP)
-    out[1::2] = np.minimum(s1, BATCH_STATE_CAP)
-    return out
+    tables = [(law.pair_probs, law.pair_values) for law in env.laws]
+    return divide(states, tables, env.sample_indices(rng, states.size), imm, rng).T.ravel()
 
 
 def simulate_tree_bfs(
@@ -174,8 +163,7 @@ def simulate_tree_bfs(
     max_depth: int = BFS_DEPTH_LIMIT,
 ) -> list[GenerationLedger]:
     """Breadth-first population run; one ledger per generation 0..n_max."""
-    if n_max > max_depth:
-        raise DepthTooLarge(f"depth {n_max} exceeds breadth-first bound {max_depth}")
+    _check_depth(n_max, max_depth, "breadth-first")
     states = start_lanes(k0, 1)
     ledgers = []
     for g in range(n_max + 1):
@@ -203,8 +191,7 @@ def iter_forest_bfs(
     Cells of independent runs are interleaved into a single vector pass, which
     is what makes many-replicate experiments affordable.
     """
-    if n_max > max_depth:
-        raise DepthTooLarge(f"depth {n_max} exceeds breadth-first bound {max_depth}")
+    _check_depth(n_max, max_depth, "breadth-first")
     states = start_lanes(k0, n_runs)
     yield 0, states.reshape(n_runs, 1)
     for g in range(1, n_max + 1):
@@ -230,8 +217,7 @@ def simulate_tree_dfs(
     law.  When ``accumulator`` is given, the leaf counts are also merged into
     it so replicate trees can share a tally.
     """
-    if n_target > max_depth:
-        raise DepthTooLarge(f"depth {n_target} exceeds depth-first bound {max_depth}")
+    _check_depth(n_target, max_depth, "depth-first")
     leaves: list[tuple[np.ndarray, np.ndarray]] = []
     stack = [(0, start_lanes(k0, 1))]
     while stack:

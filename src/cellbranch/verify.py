@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from statistics import NormalDist
+from typing import Iterator
 
 import numpy as np
 
@@ -56,7 +58,7 @@ from .tree import (
 )
 
 DEFAULT_SEED = 20250801
-Z99 = 2.5758293035489004
+Z99 = NormalDist().inv_cdf(0.995)
 
 
 @dataclass(frozen=True)
@@ -76,72 +78,55 @@ def _rng(seed: int, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(777, tag)))
 
 
-def _timed(name: str, passed, measured: str, tolerance: str, started: float) -> CheckResult:
-    return CheckResult(name, bool(passed), measured, tolerance, time.time() - started)
+# what a check yields: (name, passed, measured, tolerance); run_suite times it
+_Verdict = tuple[str, bool, str, str]
 
 
 # --- AC: Monte Carlo matches the exact kernel --------------------------------
 
 
-def check_oracle_equivalence(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def check_oracle_equivalence(seed: int = DEFAULT_SEED) -> Iterator[_Verdict]:
     """Chain law at generation 30 versus kernel propagation, three toy sets."""
     sets = {
         "toy-chain": toy_chain(),
         "subcritical-binomial": subcritical_binomial(),
         "subcritical-geometric": subcritical_geometric(),
     }
-    results = []
     for tag, (name, (env, imm)) in enumerate(sets.items()):
-        started = time.time()
         exact = propagate(build_kernel(env, imm, 512), 0, 30)
         states = simulate_states_batch(0, env, imm, _rng(seed, 10 + tag), 10**5, [30])[30]
         tv = tv_distance(EmpiricalMeasure.from_samples(states), exact)
-        results.append(
-            _timed(f"oracle-equivalence/{name}", tv < 0.02, f"TV = {tv:.4f}", "< 0.02", started)
-        )
-    return results
+        yield f"oracle-equivalence/{name}", tv < 0.02, f"TV = {tv:.4f}", "< 0.02"
 
 
 # --- AC: renewal identity -----------------------------------------------------
 
 
-def check_renewal_identity(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def check_renewal_identity(seed: int = DEFAULT_SEED) -> Iterator[_Verdict]:
     """Limit of return probabilities equals the reciprocal mean return time."""
     env, imm = toy_chain()
     kernel = build_kernel(env, imm, 512)
-    started = time.time()
     limit = renewal_limit(kernel)
     u = renewal_sequence(kernel, 400)
     diff = abs(u[400] - limit.u_infinity)
-    results = [
-        _timed("renewal-identity/oracle", diff < 1e-9, f"|u_400 - u_inf| = {diff:.2e}", "< 1e-9",
-               started)
-    ]
-    started = time.time()
+    yield "renewal-identity/oracle", diff < 1e-9, f"|u_400 - u_inf| = {diff:.2e}", "< 1e-9"
     est = stationary_by_regeneration(env, imm, _rng(seed, 20), excursions=10**5)
     se = est.lengths.std(ddof=1) / (est.lengths.mean() ** 2 * math.sqrt(est.excursions))
     gap = abs(est.u_infinity - limit.u_infinity)
-    results.append(
-        _timed(
-            "renewal-identity/regeneration",
-            gap <= Z99 * se,
-            f"|u_hat - u_inf| = {gap:.2e}, 99% margin {Z99 * se:.2e}",
-            "within 99% CI",
-            started,
-        )
+    yield (
+        "renewal-identity/regeneration",
+        gap <= Z99 * se,
+        f"|u_hat - u_inf| = {gap:.2e}, 99% margin {Z99 * se:.2e}",
+        "within 99% CI",
     )
-    return results
 
 
 # --- AC: leaf proportions = stationary law ------------------------------------
 
 
-def check_stationary_tree(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def check_stationary_tree(seed: int = DEFAULT_SEED) -> Iterator[_Verdict]:
     """Deep-generation leaf histogram vs regeneration vs kernel stationary law."""
     env, imm = subcritical_binomial()
-    results = []
-
-    started = time.time()
     kernel = build_kernel(env, imm, 512)
     exact = stationary_solve(kernel)
     rng = _rng(seed, 30)
@@ -156,12 +141,8 @@ def check_stationary_tree(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         "regeneration-vs-kernel": tv_distance(est.measure, exact.pmf),
     }
     for pair, tv in tvs.items():
-        results.append(
-            _timed(f"stationary-tree/{pair}", tv < 0.05, f"TV = {tv:.4f}", "< 0.05", started)
-        )
-        started = time.time()
+        yield f"stationary-tree/{pair}", tv < 0.05, f"TV = {tv:.4f}", "< 0.05"
 
-    started = time.time()
     exact8 = propagate(kernel, 0, 8)
     per_tree: dict[int, np.ndarray] = {}
     n_trees = 200
@@ -177,22 +158,18 @@ def check_stationary_tree(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         z = abs(float(fractions.mean()) - float(exact8.probs[k])) / max(se, 1e-12)
         worst = max(worst, z)
         ok &= z < 3.0
-    results.append(
-        _timed(
-            "stationary-tree/mean-proportions",
-            ok,
-            f"worst |z| = {worst:.2f} over {len(per_tree)} states",
-            "< 3 sigma each",
-            started,
-        )
+    yield (
+        "stationary-tree/mean-proportions",
+        ok,
+        f"worst |z| = {worst:.2f} over {len(per_tree)} states",
+        "< 3 sigma each",
     )
-    return results
 
 
 # --- AC: recovery dichotomy ----------------------------------------------------
 
 
-def check_recovery(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def check_recovery(seed: int = DEFAULT_SEED) -> Iterator[_Verdict]:
     """Infected fraction vanishes without contamination iff growth is not supercritical.
 
     Note: at twenty generations the critical set's infected fraction has mean
@@ -201,14 +178,12 @@ def check_recovery(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """
     n_max = 20
     n_runs = 100
-    results = []
     cases = {
         "subcritical": split_environment(1),
         "critical": split_environment(2),
         "supercritical": split_environment(4),
     }
     for tag, (name, env) in enumerate(cases.items()):
-        started = time.time()
         rng = _rng(seed, 40 + tag)
         final_fractions = np.empty(n_runs)
         surviving = np.zeros(n_runs, dtype=bool)
@@ -230,82 +205,60 @@ def check_recovery(seed: int = DEFAULT_SEED) -> list[CheckResult]:
             passed = frac >= 0.95
             measured = f"{frac:.2f} of runs below 0.01 (mean fraction {final_fractions.mean():.3f})"
             tolerance = ">= 0.95"
-        results.append(_timed(f"recovery/{name}", passed, measured, tolerance, started))
-        results.append(
-            _timed(
-                f"recovery/{name}-monotone",
-                monotone,
-                "nonincreasing in every run" if monotone else "violated",
-                "100% of runs",
-                started,
-            )
+        yield f"recovery/{name}", passed, measured, tolerance
+        yield (
+            f"recovery/{name}-monotone",
+            monotone,
+            "nonincreasing in every run" if monotone else "violated",
+            "100% of runs",
         )
-    return results
 
 
 # --- AC: binomial repartition criterion ----------------------------------------
 
 
-def check_binomial_criterion(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def check_binomial_criterion(seed: int = DEFAULT_SEED) -> Iterator[_Verdict]:
     """Almost-sure recovery boundary for a uniformly split brood."""
     del seed  # exact computation throughout
-    results = []
-    started = time.time()
     grid = uniform_grid_p(64)
     e_log = expected_log_inverse_p(grid)
-    results.append(
-        _timed(
-            "binomial-criterion/grid",
-            abs(e_log - 1.0) < 0.01,
-            f"E log(1/P) = {e_log:.4f}",
-            "within 0.01 of 1",
-            started,
-        )
+    yield (
+        "binomial-criterion/grid",
+        abs(e_log - 1.0) < 0.01,
+        f"E log(1/P) = {e_log:.4f}",
+        "within 0.01 of 1",
     )
-    started = time.time()
     ok = binomial_recovery_criterion(2.0, e_log) and not binomial_recovery_criterion(4.0, e_log)
-    results.append(
-        _timed(
-            "binomial-criterion/dichotomy",
-            ok,
-            f"doubling recovers: {binomial_recovery_criterion(2.0, e_log)}, "
-            f"quadrupling recovers: {binomial_recovery_criterion(4.0, e_log)}",
-            "True / False",
-            started,
-        )
+    yield (
+        "binomial-criterion/dichotomy",
+        ok,
+        f"doubling recovers: {binomial_recovery_criterion(2.0, e_log)}, "
+        f"quadrupling recovers: {binomial_recovery_criterion(4.0, e_log)}",
+        "True / False",
     )
-    started = time.time()
     env2 = build_binomial_split(FiniteLaw.delta(2), grid)
     surv2 = [survival_no_immigration(env2, 1, n) for n in (10, 20, 30, 40)]
     ok2 = surv2[-1] < 0.05 and all(a > b for a, b in zip(surv2, surv2[1:]))
-    results.append(
-        _timed(
-            "binomial-criterion/recovering-side",
-            ok2,
-            f"survival at n=40: {surv2[-1]:.4f}",
-            "< 0.05 and decreasing",
-            started,
-        )
+    yield (
+        "binomial-criterion/recovering-side",
+        ok2,
+        f"survival at n=40: {surv2[-1]:.4f}",
+        "< 0.05 and decreasing",
     )
-    started = time.time()
     env4 = build_binomial_split(FiniteLaw.delta(4), grid)
     surv4 = [survival_no_immigration(env4, 1, n) for n in (10, 20, 30, 40)]
-    results.append(
-        _timed(
-            "binomial-criterion/persistent-side",
-            min(surv4) > 0.2,
-            f"min survival through n=40: {min(surv4):.4f}",
-            "> 0.2",
-            started,
-        )
+    yield (
+        "binomial-criterion/persistent-side",
+        min(surv4) > 0.2,
+        f"min survival through n=40: {min(surv4):.4f}",
+        "> 0.2",
     )
-    return results
 
 
 # --- AC: critical survival scaling ----------------------------------------------
 
 
-def check_critical_survival(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def check_critical_survival(seed: int = DEFAULT_SEED) -> Iterator[_Verdict]:
     """Square-root-rescaled survival of the critical set over n in [16, 256].
 
     The critical toy has a deterministic environment, whose survival decays
@@ -314,30 +267,25 @@ def check_critical_survival(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     measured band.
     """
     del seed
-    started = time.time()
     env = split_environment(2)
     values = [
         math.sqrt(n) * survival_no_immigration(env, 1, n) for n in range(16, 257)
     ]
     ratio = max(values) / min(values)
-    return [
-        _timed(
-            "critical-survival/band",
-            ratio <= 3.0,
-            f"band ratio = {ratio:.3f} (edges {min(values):.3f}..{max(values):.3f})",
-            "<= 3.0",
-            started,
-        )
-    ]
+    yield (
+        "critical-survival/band",
+        ratio <= 3.0,
+        f"band ratio = {ratio:.3f} (edges {min(values):.3f}..{max(values):.3f})",
+        "<= 3.0",
+    )
 
 
 # --- AC: geometric return-time tail ----------------------------------------------
 
 
-def check_geometric_tail(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def check_geometric_tail(seed: int = DEFAULT_SEED) -> Iterator[_Verdict]:
     """Return-time tail ratios converge to a constant below one."""
     del seed
-    started = time.time()
     env, imm = subcritical_geometric()
     kernel = build_kernel(env, imm, 512)
     tail = hitting_tail(kernel, 0, 100)
@@ -345,88 +293,65 @@ def check_geometric_tail(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     last = ratios[-20:]
     spread = float(last.max() - last.min())
     ok = spread < 0.01 and last[-1] < 0.99
-    return [
-        _timed(
-            "geometric-tail/ratio",
-            ok,
-            f"limit ratio = {last[-1]:.4f}, last-20 spread = {spread:.2e}",
-            "spread < 0.01 and ratio < 0.99",
-            started,
-        )
-    ]
+    yield (
+        "geometric-tail/ratio",
+        ok,
+        f"limit ratio = {last[-1]:.4f}, last-20 spread = {spread:.2e}",
+        "spread < 0.01 and ratio < 0.99",
+    )
 
 
 # --- AC: normalized limit ---------------------------------------------------------
 
 
-def check_normalized_limit(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def check_normalized_limit(seed: int = DEFAULT_SEED) -> Iterator[_Verdict]:
     """Mean-normalized population converges; its mean matches the geometric series."""
-    started = time.time()
     env = split_environment(6)  # realized mean 3 on both sides
     imm = ImmigrationPair.state_independent(FiniteLaw.delta(1))
     w = simulate_normalized_batch(0, env, imm, _rng(seed, 60), 10**5, checkpoints=[15, 20])
     mean = float(w[20].mean())
     median_step = float(np.median(np.abs(w[20] - w[15])))
-    return [
-        _timed(
-            "normalized-limit/mean",
-            abs(mean - 0.5) < 0.02,
-            f"E[W_20] = {mean:.4f}",
-            "0.5 +- 0.02",
-            started,
-        ),
-        _timed(
-            "normalized-limit/settling",
-            median_step < 0.05,
-            f"median |W_20 - W_15| = {median_step:.4f}",
-            "< 0.05",
-            started,
-        ),
-    ]
+    yield "normalized-limit/mean", abs(mean - 0.5) < 0.02, f"E[W_20] = {mean:.4f}", "0.5 +- 0.02"
+    yield (
+        "normalized-limit/settling",
+        median_step < 0.05,
+        f"median |W_20 - W_15| = {median_step:.4f}",
+        "< 0.05",
+    )
 
 
 # --- AC: total-parasite growth rate -----------------------------------------------
 
 
-def check_growth_exponent(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def check_growth_exponent(seed: int = DEFAULT_SEED) -> Iterator[_Verdict]:
     """Per-generation totals grow like max(2, m) to the n."""
     imm = ImmigrationPair(FiniteLaw.bernoulli(0.5), FiniteLaw.bernoulli(0.5))
-    results = []
     cases = {
         "tripling": (FiniteLaw.delta(3), math.log(3)),
         "slow-growth": (FiniteLaw((1, 2), (0.5, 0.5)), math.log(2)),
     }
     for tag, (name, (z_law, target)) in enumerate(cases.items()):
-        started = time.time()
         env = build_binomial_split(z_law, [(0.5, 1.0)])
         totals = simulate_parasite_totals(env, imm, 0, 20, _rng(seed, 70 + tag), n_runs=1000)
         fits = [growth_exponent(row).exponent for row in totals]
         gap = abs(float(np.mean(fits)) - target)
-        results.append(
-            _timed(
-                f"growth-exponent/{name}",
-                gap < 0.15,
-                f"mean exponent gap = {gap:.4f}",
-                "within 0.15",
-                started,
-            )
+        yield (
+            f"growth-exponent/{name}",
+            gap < 0.15,
+            f"mean exponent gap = {gap:.4f}",
+            "within 0.15",
         )
-    started = time.time()
     env4 = split_environment(4)
     totals = simulate_parasite_totals(env4, imm, 0, 3, _rng(seed, 72), n_runs=10**5)
     finals = totals[:, 3].astype(float)
     margin = Z99 * finals.std(ddof=1) / math.sqrt(len(finals))
     gap = abs(finals.mean() - 28.0)
-    results.append(
-        _timed(
-            "growth-exponent/three-generation-mean",
-            gap <= margin,
-            f"mean = {finals.mean():.3f}, 99% margin {margin:.3f}",
-            "28 within 99% CI",
-            started,
-        )
+    yield (
+        "growth-exponent/three-generation-mean",
+        gap <= margin,
+        f"mean = {finals.mean():.3f}, 99% margin {margin:.3f}",
+        "28 within 99% CI",
     )
-    return results
 
 
 # --- AC: divergence regimes --------------------------------------------------------
@@ -444,9 +369,8 @@ def _monotone_up_to_ci(fractions: list[float], n_paths: int) -> tuple[bool, floa
     return ok, worst
 
 
-def check_divergence(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def check_divergence(seed: int = DEFAULT_SEED) -> Iterator[_Verdict]:
     """States run away in the critical, heavy-tail, and supercritical regimes."""
-    results = []
     n_paths = 4000
     checkpoints = list(range(50, 501, 50))
     cases = {
@@ -454,43 +378,33 @@ def check_divergence(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         "heavy-tail": heavy_tail_contaminated(),
     }
     for tag, (name, (env, imm)) in enumerate(cases.items()):
-        started = time.time()
         states = simulate_states_batch(0, env, imm, _rng(seed, 80 + tag), n_paths, checkpoints)
         fractions = [float((states[cp] <= 10).mean()) for cp in checkpoints]
         mono, worst = _monotone_up_to_ci(fractions, n_paths)
         ok = mono and fractions[-1] < fractions[0]
-        results.append(
-            _timed(
-                f"divergence/{name}",
-                ok,
-                f"P(state <= 10): {fractions[0]:.3f} -> {fractions[-1]:.3f}, "
-                f"worst CI excess {worst:.4f}",
-                "monotone up to 99% CI and overall decrease",
-                started,
-            )
+        yield (
+            f"divergence/{name}",
+            ok,
+            f"P(state <= 10): {fractions[0]:.3f} -> {fractions[-1]:.3f}, "
+            f"worst CI excess {worst:.4f}",
+            "monotone up to 99% CI and overall decrease",
         )
-    started = time.time()
     env, imm = supercritical_contaminated()
     ledger = simulate_tree_bfs(0, 16, env, imm, _rng(seed, 82))[-1]
     worst_prop = int(ledger.counts[ledger.values <= 5].max(initial=0)) / ledger.cells
-    results.append(
-        _timed(
-            "divergence/supercritical-tree",
-            worst_prop < 0.05,
-            f"max proportion with <= 5 parasites at n=16: {worst_prop:.5f}",
-            "< 0.05",
-            started,
-        )
+    yield (
+        "divergence/supercritical-tree",
+        worst_prop < 0.05,
+        f"max proportion with <= 5 parasites at n=16: {worst_prop:.5f}",
+        "< 0.05",
     )
-    return results
 
 
 # --- AC: prefix-proportion stabilization ---------------------------------------------
 
 
-def check_clt_stabilization(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def check_clt_stabilization(seed: int = DEFAULT_SEED) -> Iterator[_Verdict]:
     """Rescaled prefix proportions of parasite-free cells: mean 0, variance settles."""
-    started = time.time()
     env, imm = toy_chain()
     f0 = float(stationary_solve(build_kernel(env, imm, 64)).pmf[0])
     n_runs = 200
@@ -505,22 +419,18 @@ def check_clt_stabilization(seed: int = DEFAULT_SEED) -> list[CheckResult]:
             if g in checkpoints:
                 samples[g].extend((cum_zero / 2 ** (g + 1)).tolist())
     report = sqrtn_stabilization({n: samples[n] for n in checkpoints}, f0)
-    return [
-        _timed(
-            "clt-stabilization/centering",
-            report.mean_consistent_with_zero,
-            f"means = {[f'{m:.3f}' for m in report.means]}",
-            "99% CI covers 0 at every n",
-            started,
-        ),
-        _timed(
-            "clt-stabilization/variance",
-            report.variance_stabilized,
-            f"variance ratio (n=16 vs n=12) = {report.variance_ratio:.3f}",
-            "in [0.5, 2]",
-            started,
-        ),
-    ]
+    yield (
+        "clt-stabilization/centering",
+        report.mean_consistent_with_zero,
+        f"means = {[f'{m:.3f}' for m in report.means]}",
+        "99% CI covers 0 at every n",
+    )
+    yield (
+        "clt-stabilization/variance",
+        report.variance_stabilized,
+        f"variance ratio (n=16 vs n=12) = {report.variance_ratio:.3f}",
+        "in [0.5, 2]",
+    )
 
 
 SUITES = {
@@ -539,11 +449,21 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    """Run one suite, or all of them; each check is timed from the previous result.
+
+    Checks that share one computation thus count it once, in the first of them.
+    """
     if name == "all":
-        out = []
-        for suite in SUITES.values():
-            out.extend(suite(seed))
-        return out
-    if name not in SUITES:
+        suites = list(SUITES.values())
+    elif name in SUITES:
+        suites = [SUITES[name]]
+    else:
         raise KeyError(f"unknown suite {name!r}; available: {', '.join(SUITES)}, all")
-    return SUITES[name](seed)
+    results = []
+    last = time.time()
+    for suite in suites:
+        for check, passed, measured, tolerance in suite(seed):
+            now = time.time()
+            results.append(CheckResult(check, bool(passed), measured, tolerance, now - last))
+            last = now
+    return results

@@ -1,10 +1,13 @@
 """Config schema and command-line behavior: exit codes, artifacts, determinism."""
 
 import json
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from cellbranch import verify
 from cellbranch.cli import main
 from cellbranch.config import ConfigError, load_config
 from cellbranch.laws import FiniteLaw, HeavyTailLaw
@@ -212,6 +215,22 @@ class TestCli:
         report = json.loads((tmp_path / "verify_geometric-tail.json").read_text())
         assert report["results"][0]["passed"] is True
 
+    def test_negative_checkpoint_exits_two(self, tmp_path, capsys):
+        experiment = {"kind": "lineage", "n": 5, "replicates": 100, "checkpoints": [-1, 5]}
+        cfg = write_config(tmp_path, {"model": BASE_MODEL, "experiment": experiment})
+        assert main(["lineage", "--config", str(cfg), "--out", str(tmp_path / "l")]) == 2
+        assert "nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "l" / "lineage_states.csv").exists()
+
+    @pytest.mark.parametrize("traversal", ["bfs", "dfs"])
+    def test_negative_tree_depth_exits_two(self, tmp_path, capsys, deadline, traversal):
+        experiment = {"kind": "tree", "n": -1, "replicates": 2, "traversal": traversal}
+        cfg = write_config(tmp_path, {"model": BASE_MODEL, "experiment": experiment})
+        # the depth-first walk once never returned here, so it runs under a deadline
+        with deadline(2.0):
+            assert main(["tree", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
+        assert "nonnegative" in capsys.readouterr().err
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path, {"model": BASE_MODEL})
         monkeypatch.setenv("CELLBRANCH_OUT", str(tmp_path / "envout"))
@@ -225,3 +244,17 @@ class TestCli:
         ) == 0
         manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
         assert manifest["seed"] == 99
+
+
+def test_run_suite_counts_a_shared_computation_once(monkeypatch):
+    def suite(seed):
+        time.sleep(0.2)  # one computation behind both checks
+        yield "shared/first", np.bool_(True), "m", "t"
+        yield "shared/second", False, "m", "t"
+
+    monkeypatch.setitem(verify.SUITES, "shared", suite)
+    started = time.time()
+    first, second = verify.run_suite("shared")
+    assert first.seconds >= 0.2 > second.seconds
+    assert first.seconds + second.seconds <= time.time() - started
+    assert first.passed is True and second.passed is False

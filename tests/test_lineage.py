@@ -68,6 +68,13 @@ class TestStep:
         z, _ = step(5, dying_env(), imm, rng)
         assert z == 3
 
+    def test_contamination_keyed_on_each_lanes_state(self):
+        imm = ImmigrationPair(
+            FiniteLaw.delta(1), FiniteLaw.delta(3), require_contamination_condition=False
+        )
+        rng = np.random.default_rng(4)
+        assert list(batch_step(np.array([0, 5]), dying_env(), imm, rng)) == [1, 3]
+
     def test_bernoulli_contamination_mean(self):
         env, imm = toy_chain()
         rng = np.random.default_rng(2)
@@ -245,6 +252,29 @@ def test_negative_start_rejected(run):
         run(*toy_chain(), np.random.default_rng(0))
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(lambda *model: simulate_states_batch(0, *model, 4, [-1, 5]),
+                     id="simulate_states_batch"),
+        pytest.param(lambda *model: simulate_normalized_batch(0, *model, 4, [-2, 3]),
+                     id="simulate_normalized_batch"),
+    ],
+)
+def test_negative_checkpoint_rejected(run):
+    with pytest.raises(ValueError, match="nonnegative"):
+        run(*sub_binom(), np.random.default_rng(0))
+
+
+def test_checkpoints_in_any_order_and_repeated():
+    env, imm = sub_geom()
+    out = simulate_states_batch(2, env, imm, np.random.default_rng(1), 50, [4, 0, 4, 2])
+    again = simulate_states_batch(2, env, imm, np.random.default_rng(1), 50, [0, 2, 4])
+    assert list(out) == [0, 2, 4]
+    assert all(np.array_equal(out[t], again[t]) for t in again)
+    assert list(out[0]) == [2] * 50
+
+
 class TestBatchAgainstOracle:
     def test_batch_law_matches_kernel(self):
         env, imm = sub_geom()
@@ -261,6 +291,20 @@ class TestBatchAgainstOracle:
         rng = np.random.default_rng(19)
         finals = [simulate_path(0, 8, env, imm, rng).states[-1] for _ in range(8000)]
         assert tv_distance(EmpiricalMeasure.from_samples(finals), exact) < 0.03
+
+    def test_one_step_matches_kernel_row_on_two_asymmetric_components(self):
+        # components and sides with distinct marginals: a mis-indexed table changes the law
+        env = EnvironmentLaw(
+            (
+                (BivariateOffspringLaw((((3, 0), 0.6), ((0, 1), 0.4))), 0.3),
+                (BivariateOffspringLaw((((1, 2), 0.5), ((0, 0), 0.5))), 0.7),
+            )
+        )
+        imm = ImmigrationPair(FiniteLaw.bernoulli(0.5), FiniteLaw((0, 1), (0.7, 0.3)))
+        exact = propagate(build_kernel(env, imm, 64, overflow_budget=None), 3, 1)
+        rng = np.random.default_rng(22)
+        states = batch_step(np.full(200_000, 3), env, imm, rng)
+        assert tv_distance(EmpiricalMeasure.from_samples(states), exact) < 0.01
 
     def test_convergence_to_stationary_in_tv(self):
         env, imm = sub_binom()

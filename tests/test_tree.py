@@ -80,6 +80,14 @@ class TestAdvanceGeneration:
         assert list(children) == [BATCH_STATE_CAP, BATCH_STATE_CAP]
 
 
+    def test_contamination_keyed_on_each_mothers_state(self):
+        imm = ImmigrationPair(
+            FiniteLaw.delta(1), FiniteLaw.delta(3), require_contamination_condition=False
+        )
+        rng = np.random.default_rng(5)
+        assert list(advance_generation([0, 5], dying_env(), imm, rng)) == [1, 1, 3, 3]
+
+
 class TestBfs:
     def test_root_only(self):
         rng = np.random.default_rng(0)
@@ -345,6 +353,22 @@ def coin_imm():
 )
 def test_negative_start_rejected(run):
     with pytest.raises(ValueError, match="nonnegative"):
+        run(np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda rng: simulate_tree_bfs(1, -1, sub_env(), toy_imm(), rng),
+        lambda rng: simulate_tree_bfs(1, -1, sub_env(), ImmigrationPair.zero(), rng),
+        lambda rng: list(iter_forest_bfs(1, -1, sub_env(), toy_imm(), rng, 2)),
+        lambda rng: simulate_tree_dfs(1, -1, sub_env(), toy_imm(), rng),
+    ],
+    ids=["bfs", "bfs-zero-pair", "forest", "dfs"],
+)
+def test_negative_depth_rejected(run, deadline):
+    # the depth-first walk once never returned here, so it runs under a deadline
+    with deadline(2.0), pytest.raises(ValueError, match="nonnegative"):
         run(np.random.default_rng(0))
 
 
