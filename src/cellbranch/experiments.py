@@ -28,7 +28,14 @@ from .oracle import (
     stationary_solve,
 )
 from .runio import write_csv, write_json, write_manifest
-from .tree import _tally, iter_forest_bfs, simulate_tree_bfs, simulate_tree_dfs
+from .tree import (
+    BFS_DEPTH_LIMIT,
+    DFS_DEPTH_LIMIT,
+    _tally,
+    iter_forest_bfs,
+    simulate_tree_bfs,
+    simulate_tree_dfs,
+)
 
 LINEAGE_DOMAIN = 1
 TREE_DOMAIN = 2
@@ -188,6 +195,9 @@ def run_experiment(cfg: RunConfig, out_dir: Path, workers: int = 1) -> list[str]
         traversal = cfg.experiment.get("traversal", "bfs")
         if n < 0:
             raise ConfigError(f"tree depth n must be nonnegative, got {n}")
+        limit = {"bfs": BFS_DEPTH_LIMIT, "dfs": DFS_DEPTH_LIMIT}.get(traversal)
+        if limit is not None and n > limit:
+            raise ConfigError(f"tree depth n = {n} exceeds the {traversal} bound {limit}")
         rows = run_tree(cfg.env, cfg.imm, cfg.k0, n, replicates, cfg.seed, traversal, workers)
         path = out_dir / "tree_ledgers.csv"
         write_csv(path, ("run_id", "n", "k", "count"), rows)
@@ -214,6 +224,8 @@ def run_experiment(cfg: RunConfig, out_dir: Path, workers: int = 1) -> list[str]
     elif kind == "oracle":
         K = int(cfg.experiment.get("K", 512))
         n = int(cfg.experiment.get("n", 50))
+        if K < 0 or n < 0:
+            raise ConfigError(f"oracle K and n must be nonnegative, got K={K}, n={n}")
         budget = cfg.experiment.get("overflow_budget", 1e-6)
         quantities = cfg.experiment.get(
             "quantities", ["pmf", "renewal", "stationary", "hitting_tail"]

@@ -231,6 +231,26 @@ class TestCli:
             assert main(["tree", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
         assert "nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("traversal, n", [("bfs", 23), ("dfs", 31)])
+    def test_tree_depth_past_traversal_bound_exits_two(
+        self, tmp_path, capsys, deadline, traversal, n
+    ):
+        experiment = {"kind": "tree", "n": n, "replicates": 2, "traversal": traversal}
+        cfg = write_config(tmp_path, {"model": BASE_MODEL, "experiment": experiment})
+        # rejected before anything is simulated, so a depth-n tree never starts
+        with deadline(2.0):
+            assert main(["tree", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
+        assert "bound" in capsys.readouterr().err
+        assert not (tmp_path / "t" / "tree_ledgers.csv").exists()
+
+    @pytest.mark.parametrize("key", ["n", "K"])
+    def test_negative_oracle_horizon_or_truncation_exits_two(self, tmp_path, capsys, key):
+        experiment = {"kind": "oracle", "K": 16, "n": 10, key: -3}
+        cfg = write_config(tmp_path, {"model": BASE_MODEL, "experiment": experiment})
+        assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "oracle_pmf.csv").exists()
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path, {"model": BASE_MODEL})
         monkeypatch.setenv("CELLBRANCH_OUT", str(tmp_path / "envout"))

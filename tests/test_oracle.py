@@ -17,6 +17,7 @@ from cellbranch.laws import (
     uniform_grid_p,
 )
 from cellbranch.oracle import (
+    _FFT_BLOCK,
     NonConvergent,
     TruncationTooSmall,
     build_kernel,
@@ -101,6 +102,34 @@ def offspring_laws(draw):
     return BivariateOffspringLaw(tuple(zip(pairs, draw(normalized_weights(len(pairs))))))
 
 
+@st.composite
+def kernel_inputs(draw):
+    """(env, imm, K) for the dense-reference comparisons; y1 may be heavy-tailed."""
+    laws = draw(st.lists(offspring_laws(), min_size=1, max_size=3))
+    mix = draw(normalized_weights(len(laws)))
+    y0 = draw(finite_laws(max_value=12, max_atoms=6))
+    y1 = draw(st.one_of(finite_laws(max_value=12, max_atoms=6), st.just(HeavyTailLaw())))
+    env = EnvironmentLaw(tuple(zip(laws, mix)))
+    imm = ImmigrationPair(y0, y1, require_contamination_condition=False)
+    return env, imm, draw(st.integers(8, 48))
+
+
+def dense_excursion(matrix, overflow, cap):
+    """Expected return time and visits from a plain ``w @ Q`` taboo loop."""
+    Q = matrix[1:, 1:]
+    w, esc = matrix[0, 1:].copy(), float(overflow[0])
+    visits = np.zeros(len(matrix))
+    visits[0] = 1.0
+    expected, steps = 1.0, 0
+    while steps < cap and w.sum() > 1e-17:
+        expected += w.sum() + esc
+        visits[1:] += w
+        esc += float(w @ overflow[1:])
+        w = w @ Q
+        steps += 1
+    return expected, visits, steps
+
+
 class TestBuildKernel:
     def test_toy_chain_rows(self):
         env, imm = toy_chain()
@@ -145,30 +174,29 @@ class TestBuildKernel:
         assert kernel.heavy_truncated
         assert kernel.overflow.max() > 1e-3
 
-    @given(
-        laws=st.lists(offspring_laws(), min_size=1, max_size=3),
-        mix=normalized_weights(3),
-        y0=finite_laws(max_value=12, max_atoms=6),
-        y1=finite_laws(max_value=12, max_atoms=6),
-        K=st.integers(8, 48),
-    )
+    @given(kernel_inputs())
     @settings(max_examples=60, deadline=None)
-    def test_matches_dense_reference(self, laws, mix, y0, y1, K):
-        weights = mix[: len(laws)] / mix[: len(laws)].sum()
-        env = EnvironmentLaw(tuple(zip(laws, weights)))
-        imm = ImmigrationPair(y0, y1, require_contamination_condition=False)
-        assert_matches_reference(env, imm, K)
+    def test_matches_dense_reference(self, inputs):
+        assert_matches_reference(*inputs)
 
     @pytest.mark.parametrize(
         "env, imm, K",
         [
             (*heavy_tail_contaminated(), 300),
+            # every FFT block of heavy-tail rows full, none partial
+            (*heavy_tail_contaminated(), 10 * _FFT_BLOCK),
             (uniform_split_environment(4), ImmigrationPair.zero(), 96),
         ],
-        ids=["heavy-tail", "uniform-grid"],
+        ids=["heavy-tail", "heavy-tail-full-blocks", "uniform-grid"],
     )
     def test_matches_dense_reference_at_presets(self, env, imm, K):
         assert_matches_reference(env, imm, K)
+
+    def test_negative_truncation_rejected(self):
+        env, imm = toy_chain()
+        with pytest.raises(ValueError, match="nonnegative") as info:
+            build_kernel(env, imm, -1)
+        assert not isinstance(info.value, TruncationTooSmall)
 
     def test_marginal_support_up_to_truncation(self):
         K = 16
@@ -183,6 +211,111 @@ class TestBuildKernel:
                 K,
                 overflow_budget=None,
             )
+
+
+class TestTrimmedSteps:
+    """Every iterating oracle against a plain dense ``v @ M`` loop on the same kernel."""
+
+    @given(kernel_inputs(), st.integers(0, 8), st.integers(0, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_iteration(self, inputs, k0, n):
+        kernel = build_kernel(*inputs, overflow_budget=None)
+        M, ov = kernel.matrix, kernel.overflow
+
+        v, mass_out = np.eye(len(M))[k0], 0.0
+        u = [1.0]
+        e0 = np.eye(len(M))[0]
+        for _ in range(n):
+            mass_out += float(v @ ov)
+            v = v @ M
+            e0 = e0 @ M
+            u.append(e0[0])
+        result = propagate(kernel, k0, n)
+        assert np.abs(result.probs - v).max() <= 1e-15
+        assert abs(result.overflow - mass_out) <= 1e-15
+        assert np.abs(renewal_sequence(kernel, n) - u).max() <= 1e-15
+
+        w, esc = M[k0, 1:].copy(), float(ov[k0])
+        tail = []
+        for _ in range(n):
+            tail.append(w.sum() + esc)
+            esc += float(w @ ov[1:])
+            w = w @ M[1:, 1:]
+        assert np.abs(hitting_tail(kernel, k0, n) - tail).max(initial=0.0) <= 1e-15
+
+        cap = 500
+        expected, visits, steps = dense_excursion(M, ov, cap)
+        limit = renewal_limit(kernel, cap=cap, tail_tol=math.inf)
+        assert limit.steps == steps
+        assert abs(limit.expected_return_time - expected) <= 1e-15 * expected
+
+        p = np.full(len(M), 1.0 / len(M))
+        for its in range(1, 301):
+            nxt = p @ M
+            nxt /= nxt.sum()
+            diff = float(np.abs(nxt - p).sum())
+            p = nxt
+            if diff < 1e-12:
+                break
+        else:
+            with pytest.raises(NonConvergent):
+                stationary_solve(kernel, max_iterations=300, excursion_cap=cap)
+            return
+        result = stationary_solve(kernel, max_iterations=300, excursion_cap=cap)
+        assert result.iterations == its
+        assert np.abs(result.pmf - p).max() <= 1e-15
+        assert np.abs(result.excursion - visits / visits.sum()).max() <= 1e-15
+
+
+class TestNegativeHorizon:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda kernel: propagate(kernel, 0, -3),
+            lambda kernel: renewal_sequence(kernel, -1),
+            lambda kernel: hitting_tail(kernel, 0, -1),
+        ],
+        ids=["propagate", "renewal_sequence", "hitting_tail"],
+    )
+    def test_rejected(self, call):
+        kernel = build_kernel(*toy_chain(), 3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            call(kernel)
+
+
+class TestExcursionMemo:
+    """The taboo excursion is shared per kernel and cap, never across caps."""
+
+    def test_stationary_after_capped_renewal_matches_fresh(self):
+        env, imm = geometric_set()
+        kernel = build_kernel(env, imm, 128)
+        with pytest.raises(NonConvergent):
+            renewal_limit(kernel, cap=3)
+        reused = stationary_solve(kernel)
+        fresh = stationary_solve(build_kernel(env, imm, 128))
+        assert np.array_equal(reused.excursion, fresh.excursion)
+        assert np.array_equal(reused.pmf, fresh.pmf)
+        assert reused.escape_rate == fresh.escape_rate
+
+    def test_renewal_after_capped_stationary_matches_fresh(self):
+        env, imm = geometric_set()
+        kernel = build_kernel(env, imm, 128)
+        stationary_solve(kernel, excursion_cap=3)
+        assert renewal_limit(kernel) == renewal_limit(build_kernel(env, imm, 128))
+
+    @pytest.mark.parametrize("make", [geometric_set, heavy_tail_contaminated])
+    def test_renewal_after_stationary_matches_fresh(self, make):
+        env, imm = make()
+        kernel = build_kernel(env, imm, 128)
+        stationary_solve(kernel)
+        try:
+            fresh = renewal_limit(build_kernel(env, imm, 128))
+        except NonConvergent as exc:
+            with pytest.raises(NonConvergent) as info:
+                renewal_limit(kernel)
+            assert str(info.value) == str(exc)
+        else:
+            assert renewal_limit(kernel) == fresh
 
 
 class TestPropagate:
