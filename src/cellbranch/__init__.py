@@ -56,9 +56,7 @@ from .oracle import (
 from .stats import (
     EmpiricalMeasure,
     EmptySeries,
-    NonPositiveValue,
     StabilizationReport,
-    log_slope,
     proportion_ci,
     sqrtn_stabilization,
     tv_distance,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, _require
 from .laws import EnvironmentLaw, ImmigrationPair
 from .lineage import simulate_states_batch
 from .oracle import (
@@ -28,18 +28,12 @@ from .oracle import (
     stationary_solve,
 )
 from .runio import write_csv, write_json, write_manifest
-from .tree import (
-    BFS_DEPTH_LIMIT,
-    DFS_DEPTH_LIMIT,
-    _tally,
-    iter_forest_bfs,
-    simulate_tree_bfs,
-    simulate_tree_dfs,
-)
+from .tree import _check_depth, _tally, iter_forest_bfs, simulate_tree_bfs, simulate_tree_dfs
 
 LINEAGE_DOMAIN = 1
 TREE_DOMAIN = 2
 LINEAGE_BLOCK = 8192
+_ORACLE_QUANTITIES = ("pmf", "renewal", "stationary", "hitting_tail")
 
 
 def substream(master_seed: int, domain: int, block: int) -> np.random.Generator:
@@ -132,9 +126,15 @@ def run_tree(
     traversal: str = "bfs",
     workers: int = 1,
 ) -> list[tuple[int, int, int, int]]:
-    """Per-run generation ledgers as (run_id, generation, parasite count, cells) rows."""
-    if traversal not in ("bfs", "dfs"):
-        raise ConfigError(f"unknown traversal {traversal!r} (bfs | dfs)")
+    """Per-run generation ledgers as (run_id, generation, parasite count, cells) rows.
+
+    An unknown traversal, or a depth the traversal cannot run, raises
+    ``ConfigError`` before anything is simulated.
+    """
+    try:
+        _check_depth(n_max, traversal)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     block_size = max(1, min(64, 2**18 // 2**n_max))
     jobs = [
         (env, imm, k0, n_max, traversal, seed, bi, start, count)
@@ -150,24 +150,21 @@ def run_tree(
 # --- experiment dispatch -----------------------------------------------------
 
 
-def _require_experiment(cfg: RunConfig, key: str):
-    if key not in cfg.experiment:
-        raise ConfigError(f"experiment section needs '{key}'")
-    return cfg.experiment[key]
-
-
 def run_experiment(cfg: RunConfig, out_dir: Path, workers: int = 1) -> list[str]:
     """Dispatch on the experiment kind; returns the artifact paths written."""
     started = time.time()
-    kind = _require_experiment(cfg, "kind")
+    kind = _require(cfg.experiment, "kind", "experiment")
     outputs: list[str] = []
+    if kind in ("lineage", "tree"):
+        n = int(_require(cfg.experiment, "n", "experiment"))
+        replicates = int(_require(cfg.experiment, "replicates", "experiment"))
+        if replicates < 1:
+            raise ConfigError(f"replicates must be at least 1, got {replicates}")
 
     if kind == "lineage":
-        n = int(_require_experiment(cfg, "n"))
-        replicates = int(_require_experiment(cfg, "replicates"))
         checkpoints = [int(c) for c in cfg.experiment.get("checkpoints", [n])]
-        if min(checkpoints, default=0) < 0:
-            raise ConfigError(f"checkpoints must be nonnegative, got {checkpoints}")
+        if not checkpoints or min(checkpoints) < 0:
+            raise ConfigError(f"checkpoints must be nonnegative and not empty, got {checkpoints}")
         merged = run_lineage(cfg.env, cfg.imm, cfg.k0, checkpoints, replicates, cfg.seed, workers)
         rows = [
             (cp, state, count)
@@ -190,14 +187,7 @@ def run_experiment(cfg: RunConfig, out_dir: Path, workers: int = 1) -> list[str]
         outputs.append(str(spath))
 
     elif kind == "tree":
-        n = int(_require_experiment(cfg, "n"))
-        replicates = int(_require_experiment(cfg, "replicates"))
         traversal = cfg.experiment.get("traversal", "bfs")
-        if n < 0:
-            raise ConfigError(f"tree depth n must be nonnegative, got {n}")
-        limit = {"bfs": BFS_DEPTH_LIMIT, "dfs": DFS_DEPTH_LIMIT}.get(traversal)
-        if limit is not None and n > limit:
-            raise ConfigError(f"tree depth n = {n} exceeds the {traversal} bound {limit}")
         rows = run_tree(cfg.env, cfg.imm, cfg.k0, n, replicates, cfg.seed, traversal, workers)
         path = out_dir / "tree_ledgers.csv"
         write_csv(path, ("run_id", "n", "k", "count"), rows)
@@ -227,9 +217,10 @@ def run_experiment(cfg: RunConfig, out_dir: Path, workers: int = 1) -> list[str]
         if K < 0 or n < 0:
             raise ConfigError(f"oracle K and n must be nonnegative, got K={K}, n={n}")
         budget = cfg.experiment.get("overflow_budget", 1e-6)
-        quantities = cfg.experiment.get(
-            "quantities", ["pmf", "renewal", "stationary", "hitting_tail"]
-        )
+        quantities = cfg.experiment.get("quantities", list(_ORACLE_QUANTITIES))
+        unknown = [q for q in quantities if q not in _ORACLE_QUANTITIES]
+        if unknown:
+            raise ConfigError(f"unknown oracle quantities {unknown}, expected {_ORACLE_QUANTITIES}")
         kernel = build_kernel(cfg.env, cfg.imm, K, overflow_budget=budget)
         if "pmf" in quantities:
             result = propagate(kernel, cfg.k0, n)

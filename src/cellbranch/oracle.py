@@ -12,13 +12,16 @@ Only arithmetic that can be nonzero is done.  Each step multiplies the
 nonzero prefix of the iterated vector against the columns that prefix can
 reach (the kernel records how far each row's nonzero prefix extends), so a
 chain that stays near zero costs far less than a dense product while giving
-the same numbers.  The taboo excursion from zero, which feeds both the
-renewal limit and the excursion route of the stationary law, runs once per
-kernel and cap.
+the same numbers.  One walk, ``_walk``, yields the iterated vector and the
+escaped mass step by step, over all states or avoiding zero (the taboo
+chain); n-step laws, the renewal sequence, hitting tails and the excursion
+from zero all read it.  That excursion, which feeds both the renewal limit
+and the excursion route of the stationary law, runs once per kernel and cap.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -47,7 +50,8 @@ class NonConvergent(RuntimeError):
 
     Raised when a summed series (``renewal_limit``) still carries too much
     mass at its cap, and when power iteration (``stationary_solve``) stalls
-    above its fixed-point tolerance after ``max_iterations`` rounds.
+    above its fixed-point tolerance after ``max_iterations`` rounds or loses
+    all its mass above K.
     """
 
 
@@ -235,36 +239,45 @@ def _step(v: np.ndarray, matrix: np.ndarray, reach: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_horizon(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"horizon {n} must be nonnegative")
+def _check_walk(kernel: TruncatedKernel, start: int, horizon: int) -> None:
+    if not 0 <= start <= kernel.truncation:
+        raise ValueError(f"start state {start} outside truncated range")
+    if horizon < 0:
+        raise ValueError(f"horizon {horizon} must be nonnegative")
+
+
+def _walk(kernel: TruncatedKernel, start: int, taboo: bool = False):
+    """Yield (v, escaped) at times 0, 1, 2, ... of the chain started from ``start``.
+
+    ``v`` is the mass over 0..K and ``escaped`` the mass lost above K so far.
+    The taboo walk avoids zero: ``v`` covers states 1..K, starts from the
+    first step out of ``start`` and counts that step's escape; mass entering
+    zero leaves the walk.
+    """
+    matrix, reach, overflow = kernel.matrix, kernel._reach, kernel.overflow
+    if taboo:
+        v, escaped = matrix[start, 1:].copy(), float(overflow[start])
+        matrix, reach, overflow = matrix[1:, 1:], reach[1:] - 1, overflow[1:]
+    else:
+        v, escaped = np.zeros(kernel.size), 0.0
+        v[start] = 1.0
+    while True:
+        yield v, escaped
+        escaped += float(v @ overflow)
+        v = _step(v, matrix, reach)
 
 
 def propagate(kernel: TruncatedKernel, k0: int, n: int) -> PmfVector:
     """n-step distribution of the chain started from k0."""
-    if not 0 <= k0 <= kernel.truncation:
-        raise ValueError(f"start state {k0} outside truncated range")
-    _check_horizon(n)
-    v = np.zeros(kernel.size)
-    v[k0] = 1.0
-    ov = 0.0
-    for _ in range(n):
-        ov += float(v @ kernel.overflow)
-        v = _step(v, kernel.matrix, kernel._reach)
-    return PmfVector(probs=v, overflow=ov)
+    _check_walk(kernel, k0, n)
+    v, escaped = next(itertools.islice(_walk(kernel, k0), n, None))
+    return PmfVector(probs=v, overflow=escaped)
 
 
 def renewal_sequence(kernel: TruncatedKernel, n_max: int) -> np.ndarray:
     """Probabilities of sitting at zero at times 0..n_max, started from zero."""
-    _check_horizon(n_max)
-    v = np.zeros(kernel.size)
-    v[0] = 1.0
-    out = np.empty(n_max + 1)
-    out[0] = 1.0
-    for n in range(1, n_max + 1):
-        v = _step(v, kernel.matrix, kernel._reach)
-        out[n] = v[0]
-    return out
+    _check_walk(kernel, 0, n_max)
+    return np.array([v[0] for _, (v, _) in zip(range(n_max + 1), _walk(kernel, 0))])
 
 
 @dataclass(frozen=True)
@@ -273,14 +286,6 @@ class RenewalLimit:
     expected_return_time: float
     steps: int
     remainder_bound: float
-
-
-def _taboo(kernel: TruncatedKernel, k0: int):
-    """The taboo kernel (transitions avoiding zero), its reach and overflow,
-    then the one-step mass over nonzero states and the escaped mass from k0."""
-    Q = kernel.matrix[1:, 1:]
-    start = kernel.matrix[k0, 1:].copy()
-    return Q, kernel._reach[1:] - 1, kernel.overflow[1:], start, float(kernel.overflow[k0])
 
 
 @dataclass(frozen=True)
@@ -305,20 +310,16 @@ def _excursion(kernel: TruncatedKernel, cap: int) -> _Excursion:
     """The excursion from zero, run until its mass is gone or ``cap`` steps."""
     if cap in kernel._excursions:
         return kernel._excursions[cap]
-    Q, q_reach, sub_ov, w, esc = _taboo(kernel, 0)
     visits = np.zeros(kernel.size)
     visits[0] = 1.0
     expected = 1.0  # the time-zero term
-    prev_mass = math.inf
-    mass = float(w.sum())
-    steps = 0
-    while steps < cap and mass > 1e-17:
+    mass = math.inf
+    for steps, (w, esc) in enumerate(_walk(kernel, 0, taboo=True)):
+        prev_mass, mass = mass, float(w.sum())
+        if steps >= cap or mass <= 1e-17:
+            break
         expected += mass + esc
         visits[1:] += w
-        esc += float(w @ sub_ov)
-        w = _step(w, Q, q_reach)
-        prev_mass, mass = mass, float(w.sum())
-        steps += 1
     result = _Excursion(visits, expected, esc, steps, mass, prev_mass)
     kernel._excursions[cap] = result
     return result
@@ -358,16 +359,9 @@ def renewal_limit(
 
 def hitting_tail(kernel: TruncatedKernel, k0: int, n_max: int) -> np.ndarray:
     """P(return to zero takes more than n steps), for n = 1..n_max."""
-    if not 0 <= k0 <= kernel.truncation:
-        raise ValueError(f"start state {k0} outside truncated range")
-    _check_horizon(n_max)
-    Q, q_reach, sub_ov, w, esc = _taboo(kernel, k0)
-    out = np.empty(n_max)
-    for n in range(n_max):
-        out[n] = w.sum() + esc
-        esc += float(w @ sub_ov)
-        w = _step(w, Q, q_reach)
-    return out
+    _check_walk(kernel, k0, n_max)
+    walk = _walk(kernel, k0, taboo=True)
+    return np.array([w.sum() + esc for _, (w, esc) in zip(range(n_max), walk)])
 
 
 @dataclass(frozen=True)
@@ -377,6 +371,7 @@ class StationaryResult:
     ``pmf`` comes from power iteration on the truncated kernel, ``excursion``
     from accumulating taboo visits over one excursion from zero and dividing
     by the expected return time.  Their agreement is the self-check.
+    ``escape_rate`` is the mass ``pmf`` loses above K in one step.
     """
 
     pmf: np.ndarray
@@ -396,7 +391,10 @@ def stationary_solve(
     its = 0
     for its in range(1, max_iterations + 1):
         nxt = _step(v, kernel.matrix, kernel._reach)
-        nxt /= nxt.sum()
+        kept = nxt.sum()
+        if not kept > 0.0:
+            raise NonConvergent(f"all mass escapes above K={kernel.truncation} in round {its}")
+        nxt /= kept
         diff = float(np.abs(nxt - v).sum())
         v = nxt
         if diff < tol:
@@ -409,7 +407,7 @@ def stationary_solve(
     return StationaryResult(
         pmf=v,
         excursion=visits / visits.sum(),
-        escape_rate=float(v @ kernel.overflow) + float(kernel.overflow[0]),
+        escape_rate=float(v @ kernel.overflow),
         iterations=its,
     )
 

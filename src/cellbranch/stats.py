@@ -18,10 +18,6 @@ import numpy as np
 from .oracle import OVERFLOW_STATE, PmfVector
 
 
-class NonPositiveValue(ValueError):
-    """A log-scale fit was asked to handle a value that is not positive."""
-
-
 class EmptySeries(ValueError):
     """No usable points remain for a fit."""
 
@@ -97,29 +93,6 @@ def proportion_ci(successes: int, trials: int, level: float = 0.95) -> tuple[flo
     return lo, hi
 
 
-def log_slope(series: Iterable[float], window: tuple[int, int] | None = None) -> float:
-    """Least-squares slope of log(values) against their index over a window.
-
-    ``window`` is a half-open index range (start, stop); the whole series by
-    default.
-    """
-    values = np.asarray(list(series), dtype=float)
-    if window is not None:
-        start, stop = window
-        if not (0 <= start < stop <= len(values)):
-            raise ValueError(f"window {window} outside series of length {len(values)}")
-        idx = np.arange(start, stop)
-        values = values[start:stop]
-    else:
-        idx = np.arange(len(values))
-    if len(values) < 2:
-        raise EmptySeries("need at least two points for a slope")
-    if np.any(values <= 0.0):
-        raise NonPositiveValue("log slope needs strictly positive values")
-    coeffs = np.polyfit(idx, np.log(values), 1)
-    return float(coeffs[0])
-
-
 @dataclass(frozen=True)
 class StabilizationReport:
     """Behavior of sqrt(n)-rescaled deviations of a proportion estimate.
@@ -178,10 +151,8 @@ def sqrtn_stabilization(
 __all__ = [
     "EmpiricalMeasure",
     "EmptySeries",
-    "NonPositiveValue",
     "OVERFLOW_STATE",
     "StabilizationReport",
-    "log_slope",
     "proportion_ci",
     "sqrtn_stabilization",
     "tv_distance",

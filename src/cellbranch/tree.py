@@ -15,7 +15,8 @@ with zero contamination track only infected cells (parasite-free cells stay
 parasite-free forever, exactly).  The depth-first simulator walks the tree
 in blocks of at most 2^16 sibling cells, each advanced by the same
 generation step, so it holds O(depth * 2^16) cells and tallies only the
-target generation.
+target generation.  ``_check_depth`` is the one bound on both: at most 22
+generations breadth-first and 30 depth-first.
 
 A ledger stores a generation as the distinct parasite counts and the number
 of cells holding each, two int64 arrays straight from ``np.unique``; every
@@ -25,7 +26,8 @@ The total parasite count across a generation is itself a Markov chain
 whenever each parasite's total brood size has the same law in every realized
 environment and contamination ignores the cell state; ``simulate_parasite_totals``
 exploits that for the growth-rate experiments, with the same law as the full
-tree's totals.
+tree's totals.  ``growth_exponent`` is the least-squares fit of log counts
+against generation that reads those totals.
 """
 
 from __future__ import annotations
@@ -45,22 +47,25 @@ from .laws import (
 )
 from .stats import EmptySeries
 
-BFS_DEPTH_LIMIT = 22
-DFS_DEPTH_LIMIT = 30
+# deepest generation each traversal runs to
+_DEPTH_LIMITS = {"bfs": 22, "dfs": 30}
 
 # largest block of sibling cells the depth-first walk advances in one pass
 _BLOCK_CELLS = 2**16
 
 
 class DepthTooLarge(ValueError):
-    """Requested tree depth exceeds the configured traversal bound."""
+    """Requested tree depth exceeds the traversal's bound."""
 
 
-def _check_depth(n: int, max_depth: int, traversal: str) -> None:
+def _check_depth(n: int, traversal: str) -> None:
+    bound = _DEPTH_LIMITS.get(traversal)
+    if bound is None:
+        raise ValueError(f"unknown traversal {traversal!r} (bfs | dfs)")
     if n < 0:
         raise ValueError(f"depth {n} must be nonnegative")
-    if n > max_depth:
-        raise DepthTooLarge(f"depth {n} exceeds {traversal} bound {max_depth}")
+    if n > bound:
+        raise DepthTooLarge(f"depth {n} exceeds the {traversal} bound {bound}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,10 +165,9 @@ def simulate_tree_bfs(
     env: EnvironmentLaw,
     imm: ImmigrationPair,
     rng: np.random.Generator,
-    max_depth: int = BFS_DEPTH_LIMIT,
 ) -> list[GenerationLedger]:
     """Breadth-first population run; one ledger per generation 0..n_max."""
-    _check_depth(n_max, max_depth, "breadth-first")
+    _check_depth(n_max, "bfs")
     states = start_lanes(k0, 1)
     ledgers = []
     for g in range(n_max + 1):
@@ -183,7 +187,6 @@ def iter_forest_bfs(
     imm: ImmigrationPair,
     rng: np.random.Generator,
     n_runs: int,
-    max_depth: int = BFS_DEPTH_LIMIT,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Advance n_runs independent trees together, one flat array per generation.
 
@@ -191,7 +194,7 @@ def iter_forest_bfs(
     Cells of independent runs are interleaved into a single vector pass, which
     is what makes many-replicate experiments affordable.
     """
-    _check_depth(n_max, max_depth, "breadth-first")
+    _check_depth(n_max, "bfs")
     states = start_lanes(k0, n_runs)
     yield 0, states.reshape(n_runs, 1)
     for g in range(1, n_max + 1):
@@ -206,7 +209,6 @@ def simulate_tree_dfs(
     imm: ImmigrationPair,
     rng: np.random.Generator,
     accumulator: dict[int, int] | None = None,
-    max_depth: int = DFS_DEPTH_LIMIT,
 ) -> GenerationLedger:
     """Depth-first run over breadth-first blocks, tallying only the target generation.
 
@@ -217,7 +219,7 @@ def simulate_tree_dfs(
     law.  When ``accumulator`` is given, the leaf counts are also merged into
     it so replicate trees can share a tally.
     """
-    _check_depth(n_target, max_depth, "depth-first")
+    _check_depth(n_target, "dfs")
     leaves: list[tuple[np.ndarray, np.ndarray]] = []
     stack = [(0, start_lanes(k0, 1))]
     while stack:
@@ -271,10 +273,12 @@ class GrowthFit:
 
 
 def growth_exponent(series: Sequence[int], window: tuple[int, int] | None = None) -> GrowthFit:
-    """Exponential growth rate fitted on the last half of the generations.
+    """Exponential growth rate: least-squares slope of log counts against generation.
 
-    Zero counts are excluded from the fit and reported; early generations are
-    skipped because their small counts dominate the log scale otherwise.
+    ``window`` is a half-open generation range (start, stop), the last half of
+    the generations by default: early generations are skipped because their
+    small counts dominate the log scale otherwise.  Zero counts are excluded
+    from the fit and reported.
     """
     arr = np.asarray(series, dtype=float)
     if arr.size == 0:
@@ -282,6 +286,8 @@ def growth_exponent(series: Sequence[int], window: tuple[int, int] | None = None
     if window is None:
         window = (math.ceil((arr.size - 1) / 2), arr.size)
     start, stop = window
+    if not 0 <= start < stop <= arr.size:
+        raise ValueError(f"window {window} outside series of length {arr.size}")
     segment = arr[start:stop]
     idx = np.arange(start, stop)
     positive = segment > 0
@@ -298,14 +304,15 @@ def collapsed_total_law(env: EnvironmentLaw) -> FiniteLaw:
     The total-parasite shortcut is valid exactly when every realized
     mechanism gives the same law for a parasite's total number of children.
     """
-    laws = [law.total_law() for law, _ in env.components]
-    first = laws[0]
-    for other in laws[1:]:
-        if other.values != first.values or any(
-            abs(p - q) > 1e-12 for p, q in zip(other.probs, first.probs)
-        ):
-            raise ValueError("environment components disagree on the total brood law")
+    first, *others = [law.total_law() for law, _ in env.components]
+    if not all(_same_law(first, other) for other in others):
+        raise ValueError("environment components disagree on the total brood law")
     return first
+
+
+def _same_law(a: FiniteLaw, b: FiniteLaw) -> bool:
+    """Same atoms, and probabilities within 1e-12 of each other."""
+    return a.values == b.values and all(abs(p - q) <= 1e-12 for p, q in zip(a.probs, b.probs))
 
 
 def simulate_parasite_totals(
@@ -326,9 +333,7 @@ def simulate_parasite_totals(
     z_law = collapsed_total_law(env)
     if isinstance(imm.y0, HeavyTailLaw) or isinstance(imm.y1, HeavyTailLaw):
         raise ValueError("total-parasite shortcut needs finite contamination laws")
-    if imm.y0.values != imm.y1.values or any(
-        abs(p - q) > 1e-12 for p, q in zip(imm.y0.probs, imm.y1.probs)
-    ):
+    if not _same_law(imm.y0, imm.y1):
         raise ValueError("total-parasite shortcut needs state-independent contamination")
     y_vals = np.asarray(imm.y0.values, dtype=np.int64)
     y_probs = np.asarray(imm.y0.probs, dtype=float)

@@ -16,6 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .experiments import substream
 from .laws import (
     FiniteLaw,
     ImmigrationPair,
@@ -75,7 +76,7 @@ class CheckResult:
 
 
 def _rng(seed: int, tag: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(777, tag)))
+    return substream(seed, 777, tag)
 
 
 # what a check yields: (name, passed, measured, tolerance); run_suite times it

@@ -243,6 +243,25 @@ class TestCli:
         assert "bound" in capsys.readouterr().err
         assert not (tmp_path / "t" / "tree_ledgers.csv").exists()
 
+    @pytest.mark.parametrize(
+        "experiment, message",
+        [
+            ({"kind": "lineage", "n": 5, "replicates": 0}, "replicates"),
+            ({"kind": "lineage", "n": 5, "replicates": -3}, "replicates"),
+            ({"kind": "lineage", "n": 5, "replicates": 100, "checkpoints": []}, "checkpoints"),
+            ({"kind": "tree", "n": 3, "replicates": 0}, "replicates"),
+            ({"kind": "tree", "n": 3, "replicates": -2}, "replicates"),
+            ({"kind": "oracle", "K": 16, "n": 10, "quantities": ["pmf", "nope"]}, "'nope'"),
+        ],
+        ids=["lineage-0", "lineage-neg", "no-checkpoints", "tree-0", "tree-neg", "quantity"],
+    )
+    def test_config_asking_for_nothing_exits_two(self, tmp_path, capsys, experiment, message):
+        cfg = write_config(tmp_path, {"model": BASE_MODEL, "experiment": experiment})
+        out = tmp_path / "o"
+        assert main([experiment["kind"], "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("key", ["n", "K"])
     def test_negative_oracle_horizon_or_truncation_exits_two(self, tmp_path, capsys, key):
         experiment = {"kind": "oracle", "K": 16, "n": 10, key: -3}

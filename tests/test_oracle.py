@@ -28,7 +28,11 @@ from cellbranch.oracle import (
     stationary_solve,
     survival_no_immigration,
 )
-from cellbranch.presets import heavy_tail_contaminated, uniform_split_environment
+from cellbranch.presets import (
+    heavy_tail_contaminated,
+    split_environment,
+    uniform_split_environment,
+)
 
 
 def dying_env() -> EnvironmentLaw:
@@ -423,6 +427,26 @@ class TestStationary:
         kernel = build_kernel(env, imm, 64)
         with pytest.raises(NonConvergent):
             stationary_solve(kernel, max_iterations=2)
+
+    def test_escape_rate_weights_every_state_once(self):
+        # the immigration-free state 0 escapes too, but only by its stationary weight
+        imm = ImmigrationPair(HeavyTailLaw(), FiniteLaw.delta(0))
+        kernel = build_kernel(split_environment(1), imm, 64)
+        result = stationary_solve(kernel)
+        assert kernel.overflow[0] > 0.05
+        assert result.escape_rate == pytest.approx(result.pmf @ kernel.overflow, abs=1e-15)
+        assert result.escape_rate < 0.03
+
+    @pytest.mark.filterwarnings("error")
+    def test_all_mass_escaping_fails_at_once(self, deadline):
+        env = build_cluster_split(FiniteLaw.delta(5), [(0.5, 1.0)])
+        imm = ImmigrationPair(
+            FiniteLaw.delta(9), FiniteLaw.delta(9), require_contamination_condition=False
+        )
+        kernel = build_kernel(env, imm, 8, overflow_budget=None)
+        assert kernel.matrix.sum() == 0.0
+        with deadline(2.0), pytest.raises(NonConvergent, match="escapes above K=8"):
+            stationary_solve(kernel)
 
 
 class TestSurvival:

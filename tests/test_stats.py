@@ -1,4 +1,4 @@
-"""Comparator checks: total variation, Wilson intervals, log-scale fits."""
+"""Comparator checks: total variation, Wilson intervals, sqrt(n) stabilization."""
 
 import math
 
@@ -10,8 +10,6 @@ from cellbranch.oracle import PmfVector
 from cellbranch.stats import (
     EmpiricalMeasure,
     EmptySeries,
-    NonPositiveValue,
-    log_slope,
     proportion_ci,
     sqrtn_stabilization,
     tv_distance,
@@ -77,32 +75,6 @@ class TestProportionCi:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             proportion_ci(0, 0)
-
-
-class TestLogSlope:
-    def test_geometric_series_is_exact(self):
-        series = [0.5**n for n in range(30)]
-        assert log_slope(series) == pytest.approx(math.log(0.5), abs=1e-12)
-
-    def test_constant_series(self):
-        assert log_slope([3.0] * 12) == pytest.approx(0.0, abs=1e-12)
-
-    def test_polynomial_correction_is_small(self):
-        series = [2.0**n * n for n in range(1, 120)]
-        # indices 50..100 of the positive-n series
-        assert log_slope(series, window=(49, 100)) == pytest.approx(math.log(2), abs=0.02)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(NonPositiveValue):
-            log_slope([1.0, 0.0, 2.0])
-
-    def test_rejects_too_short(self):
-        with pytest.raises(EmptySeries):
-            log_slope([1.0])
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            log_slope([1.0, 2.0, 4.0], window=(1, 9))
 
 
 class TestSqrtnStabilization:

@@ -276,9 +276,36 @@ class TestGrowthExponent:
         fit = growth_exponent(series)
         assert fit.zero_censored == 1
 
+    def test_geometric_series_is_exact(self):
+        fit = growth_exponent([0.5**n for n in range(30)], window=(0, 30))
+        assert fit.exponent == pytest.approx(math.log(0.5), abs=1e-12)
+
+    def test_constant_series(self):
+        assert growth_exponent([3.0] * 12).exponent == pytest.approx(0.0, abs=1e-12)
+
+    def test_explicit_window(self):
+        series = [2.0**n * n for n in range(1, 120)]
+        # indices 50..100 of the positive-n series
+        fit = growth_exponent(series, window=(49, 100))
+        assert fit.exponent == pytest.approx(math.log(2), abs=0.02)
+        assert fit.window == (49, 100)
+
     def test_empty_series_rejected(self):
         with pytest.raises(EmptySeries):
             growth_exponent([])
+
+    def test_too_short_rejected(self):
+        with pytest.raises(EmptySeries):
+            growth_exponent([1.0])
+
+    @pytest.mark.parametrize(
+        "length, window",
+        [(3, (1, 9)), (10, (5, 100)), (10, (-2, 4)), (10, (3, 3))],
+        ids=["short-series", "past-end", "negative-start", "empty-window"],
+    )
+    def test_window_outside_series_rejected(self, length, window):
+        with pytest.raises(ValueError, match="outside series"):
+            growth_exponent(range(1, length + 1), window=window)
 
     def test_all_zero_window_rejected(self):
         with pytest.raises(EmptySeries):
