@@ -3,12 +3,15 @@
 Everything here is linear algebra, no sampling: n-step laws, the renewal
 identity (limit of return probabilities = 1 / expected return time),
 return-time tails, and survival probabilities without contamination,
-including the critical slowdown.
+including the critical slowdown and the two-sided bound that a random
+environment needs.
 """
 
 import math
 
 from cellbranch import (
+    FiniteLaw,
+    build_binomial_split,
     build_kernel,
     hitting_tail,
     propagate,
@@ -16,6 +19,7 @@ from cellbranch import (
     renewal_sequence,
     stationary_solve,
     survival_no_immigration,
+    uniform_grid_p,
 )
 from cellbranch.presets import split_environment, subcritical_geometric, toy_chain
 
@@ -43,12 +47,17 @@ ratios = tail[1:] / tail[:-1]
 print(f"  P(T>n) ratios converge to {ratios[-1]:.4f} < 1 (geometric tail)")
 
 print("\n== survival without contamination ==")
-sub = split_environment(1)
+sub = survival_no_immigration(split_environment(1), 1, 12)
 print("  subcritical halving: P(alive at n) vs 2^-n")
 for n in (4, 8, 12):
-    print(f"    n={n:>2}: {survival_no_immigration(sub, 1, n):.8f} vs {2.0**-n:.8f}")
-crit = split_environment(2)
+    print(f"    n={n:>2}: {sub.upper[n]:.8f} vs {2.0**-n:.8f}")
+crit = survival_no_immigration(split_environment(2), 1, 256)
 print("  critical slowdown: n * P(alive at n) creeps toward a constant")
 for n in (16, 64, 256):
-    p = survival_no_immigration(crit, 1, n)
+    p = crit.upper[n]
     print(f"    n={n:>3}: P = {p:.6f}, n*P = {n * p:.4f}, sqrt(n)*P = {math.sqrt(n) * p:.4f}")
+grid = survival_no_immigration(build_binomial_split(FiniteLaw.delta(4), uniform_grid_p(64)), 1, 40)
+print("  random environment (brood 4, uniform split): mass escaping above K")
+print("  is bounded both ways, so survival comes as a bracket")
+for n in (10, 20, 40):
+    print(f"    n={n:>2}: P in [{grid.lower[n]:.4f}, {grid.upper[n]:.4f}]")

@@ -31,7 +31,6 @@ from .lineage import (
     RegenerationEstimate,
     collect_hitting_times,
     hitting_time,
-    normalized_process,
     simulate_normalized_batch,
     simulate_path,
     simulate_states_batch,
@@ -43,6 +42,7 @@ from .oracle import (
     PmfVector,
     RenewalLimit,
     StationaryResult,
+    SurvivalBracket,
     TruncatedKernel,
     TruncationTooSmall,
     build_kernel,
@@ -57,7 +57,6 @@ from .stats import (
     EmpiricalMeasure,
     EmptySeries,
     StabilizationReport,
-    proportion_ci,
     sqrtn_stabilization,
     tv_distance,
 )
@@ -65,16 +64,13 @@ from .tree import (
     DepthTooLarge,
     GenerationLedger,
     GrowthFit,
-    PrefixLedger,
     advance_generation,
     growth_exponent,
     infected_fraction_series,
     iter_forest_bfs,
-    prefix_ledgers,
     simulate_parasite_totals,
     simulate_tree_bfs,
     simulate_tree_dfs,
-    total_parasites_series,
 )
 
 __version__ = "0.1.0"

@@ -244,13 +244,6 @@ def stationary_by_regeneration(
     )
 
 
-def normalized_process(trajectory: LineageTrajectory) -> np.ndarray:
-    """States divided by the running product of realized reproduction means."""
-    if np.any(trajectory.env_means <= 0.0):
-        raise DegenerateMarginal("normalized process needs positive realized means")
-    return trajectory.states / trajectory.normalizer
-
-
 # ---------------------------------------------------------------------------
 # Vectorized batch runners
 

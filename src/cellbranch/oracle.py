@@ -17,6 +17,11 @@ escaped mass step by step, over all states or avoiding zero (the taboo
 chain); n-step laws, the renewal sequence, hitting tails and the excursion
 from zero all read it.  That excursion, which feeds both the renewal limit
 and the excursion route of the stationary law, runs once per kernel and cap.
+
+Survival without contamination runs the other way: one backward pass of
+extinction probabilities gives every horizon up to n at once.  Escaped mass
+cannot be followed there, so it is bounded on both sides and the result is a
+bracket, exact when nothing escapes or the environment is deterministic.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ import numpy as np
 
 from .laws import (
     EnvironmentLaw,
-    FiniteLaw,
     HeavyTailLaw,
     ImmigrationPair,
 )
@@ -239,8 +243,8 @@ def _step(v: np.ndarray, matrix: np.ndarray, reach: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_walk(kernel: TruncatedKernel, start: int, horizon: int) -> None:
-    if not 0 <= start <= kernel.truncation:
+def _check_walk(K: int, start: int, horizon: int) -> None:
+    if not 0 <= start <= K:
         raise ValueError(f"start state {start} outside truncated range")
     if horizon < 0:
         raise ValueError(f"horizon {horizon} must be nonnegative")
@@ -269,14 +273,14 @@ def _walk(kernel: TruncatedKernel, start: int, taboo: bool = False):
 
 def propagate(kernel: TruncatedKernel, k0: int, n: int) -> PmfVector:
     """n-step distribution of the chain started from k0."""
-    _check_walk(kernel, k0, n)
+    _check_walk(kernel.truncation, k0, n)
     v, escaped = next(itertools.islice(_walk(kernel, k0), n, None))
     return PmfVector(probs=v, overflow=escaped)
 
 
 def renewal_sequence(kernel: TruncatedKernel, n_max: int) -> np.ndarray:
     """Probabilities of sitting at zero at times 0..n_max, started from zero."""
-    _check_walk(kernel, 0, n_max)
+    _check_walk(kernel.truncation, 0, n_max)
     return np.array([v[0] for _, (v, _) in zip(range(n_max + 1), _walk(kernel, 0))])
 
 
@@ -359,7 +363,7 @@ def renewal_limit(
 
 def hitting_tail(kernel: TruncatedKernel, k0: int, n_max: int) -> np.ndarray:
     """P(return to zero takes more than n steps), for n = 1..n_max."""
-    _check_walk(kernel, k0, n_max)
+    _check_walk(kernel.truncation, k0, n_max)
     walk = _walk(kernel, k0, taboo=True)
     return np.array([w.sum() + esc for _, (w, esc) in zip(range(n_max), walk)])
 
@@ -412,41 +416,50 @@ def stationary_solve(
     )
 
 
-def survival_no_immigration(
-    env: EnvironmentLaw,
-    k0: int,
-    n: int,
-    value_budget: int = 2_000_000,
-    K: int = 512,
-) -> float:
-    """Survival probability of the contamination-free cell line after n steps.
+@dataclass(frozen=True)
+class SurvivalBracket:
+    """Survival P(Z_t > 0 | Z_0 = k0) of the contamination-free cell line, t = 0..n.
 
-    Computed exactly as one minus the expected k0-th power of the composed
-    extinction generating value.  The composition values are enumerated as a
-    weighted set (identical realized marginals collapse, so deterministic
-    environments stay a single value); when the set would outgrow the budget,
-    the computation falls back to kernel propagation with unchecked overflow,
-    where escaped mass counts as surviving.
+    The true curve lies between ``lower`` and ``upper`` at every t.  The
+    scalar route for a deterministic environment is exact and returns one
+    array as both.
     """
+
+    lower: np.ndarray
+    upper: np.ndarray
+
+
+def survival_no_immigration(env: EnvironmentLaw, k0: int, n: int, K: int = 512) -> SurvivalBracket:
+    """Survival of the contamination-free cell line at every time 0..n, bracketed.
+
+    With one realized marginal f the line is a Galton-Watson process: its
+    extinction value s_t = f(s_{t-1}) from s_0 = 0 is iterated exactly and
+    survival is 1 - s_t^k0.  Otherwise the extinction probabilities
+    u_t(x) = P(Z_t = 0 | Z_0 = x) are iterated backward, u_t = M u_{t-1} from
+    u_0 = 1{x = 0}, on the zero-immigration kernel truncated at K.  Mass
+    escaping above K is bounded on both sides: it never dies out (``upper``),
+    or it dies out with probability u_{t-1}(K) (``lower``), which bounds
+    u_{t-1}(y) for every y > K because the parasites' lines add up, so
+    extinction is nonincreasing in the start state.
+    """
+    _check_walk(K, k0, n)
     marginals = env.realized_marginals()
-    arrs = [
-        (np.asarray(m.values, dtype=float), np.asarray(m.probs, dtype=float), w)
-        for m, w in marginals
-    ]
-    dist: dict[float, float] = {0.0: 1.0}
-    for _ in range(n):
-        if len(dist) * len(arrs) > value_budget:
-            kernel = build_kernel(env, ImmigrationPair.zero(), K, overflow_budget=None)
-            result = propagate(kernel, k0, n)
-            return float(1.0 - result.probs[0])
-        nxt: dict[float, float] = {}
-        s_arr = np.fromiter(dist.keys(), dtype=float, count=len(dist))
-        p_arr = np.fromiter(dist.values(), dtype=float, count=len(dist))
-        for vals, probs, w in arrs:
-            evaluated = (s_arr[:, None] ** vals[None, :]) @ probs
-            for s2, p in zip(evaluated, p_arr):
-                key = float(s2)
-                nxt[key] = nxt.get(key, 0.0) + w * p
-        dist = nxt
-    extinct = sum(p * s**k0 for s, p in dist.items())
-    return float(1.0 - extinct)
+    if len(marginals) == 1:
+        marg = marginals[0][0]
+        values, probs = np.asarray(marg.values, dtype=float), np.asarray(marg.probs, dtype=float)
+        extinct = np.zeros(n + 1)
+        for t in range(n):
+            extinct[t + 1] = (extinct[t] ** values) @ probs
+        survival = 1.0 - extinct**k0
+        return SurvivalBracket(survival, survival)
+    kernel = build_kernel(env, ImmigrationPair.zero(), K, overflow_budget=None)
+    matrix, overflow = kernel.matrix, kernel.overflow
+    u_lo = np.zeros(kernel.size)
+    u_lo[0] = 1.0
+    u_hi = u_lo
+    lower, upper = np.empty(n + 1), np.empty(n + 1)
+    lower[0] = upper[0] = 1.0 - u_lo[k0]
+    for t in range(1, n + 1):
+        u_lo, u_hi = matrix @ u_lo, matrix @ u_hi + overflow * u_hi[K]
+        lower[t], upper[t] = 1.0 - u_hi[k0], 1.0 - u_lo[k0]
+    return SurvivalBracket(lower, upper)

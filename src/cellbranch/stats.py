@@ -76,23 +76,6 @@ def tv_distance(p: Distribution, q: Distribution) -> float:
     return 0.5 * sum(abs(dp.get(k, 0.0) - dq.get(k, 0.0)) for k in keys)
 
 
-def proportion_ci(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if not 0 <= successes <= trials:
-        raise ValueError("successes must lie in [0, trials]")
-    z = NormalDist().inv_cdf(0.5 + level / 2.0)
-    phat = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (phat + z * z / (2 * trials)) / denom
-    half = z * math.sqrt(phat * (1.0 - phat) / trials + z * z / (4 * trials * trials)) / denom
-    # the Wilson bounds are exactly 0 / 1 at the boundary counts
-    lo = 0.0 if successes == 0 else center - half
-    hi = 1.0 if successes == trials else center + half
-    return lo, hi
-
-
 @dataclass(frozen=True)
 class StabilizationReport:
     """Behavior of sqrt(n)-rescaled deviations of a proportion estimate.
@@ -153,7 +136,6 @@ __all__ = [
     "EmptySeries",
     "OVERFLOW_STATE",
     "StabilizationReport",
-    "proportion_ci",
     "sqrtn_stabilization",
     "tv_distance",
 ]

@@ -108,26 +108,6 @@ class GenerationLedger:
         return dict(zip(self.values.tolist(), self.counts.tolist()))
 
 
-@dataclass(frozen=True)
-class PrefixLedger:
-    """Cumulative histogram over generations 0..n.
-
-    Counts cover the 2^(n+1) - 1 cells seen so far; proportions use the
-    conventional 2^(n+1) denominator, so they sum to just under one.
-    """
-
-    n: int
-    counts: dict[int, int]
-    denominator: int
-
-    def __post_init__(self):
-        if sum(self.counts.values()) != self.denominator - 1:
-            raise ValueError("prefix counts must cover 2^(n+1) - 1 cells")
-
-    def proportions(self) -> dict[int, float]:
-        return {k: c / self.denominator for k, c in self.counts.items()}
-
-
 def _tally(n: int, states: np.ndarray, cells: int) -> GenerationLedger:
     """Ledger of generation n, whose ``cells`` cells hold ``states``.
 
@@ -245,22 +225,6 @@ def simulate_tree_dfs(
 def infected_fraction_series(ledgers: Sequence[GenerationLedger]) -> np.ndarray:
     """Fraction of infected cells per generation."""
     return np.array([led.infected / led.cells for led in ledgers])
-
-
-def total_parasites_series(ledgers: Sequence[GenerationLedger]) -> list[int]:
-    """Total parasite count per generation."""
-    return [led.parasites_total for led in ledgers]
-
-
-def prefix_ledgers(ledgers: Sequence[GenerationLedger]) -> list[PrefixLedger]:
-    """Cumulative histograms over generations 0..n for each n."""
-    out = []
-    counts: dict[int, int] = {}
-    for led in ledgers:
-        for k, c in zip(led.values.tolist(), led.counts.tolist()):
-            counts[k] = counts.get(k, 0) + c
-        out.append(PrefixLedger(n=led.n, counts=dict(counts), denominator=2 ** (led.n + 1)))
-    return out
 
 
 @dataclass(frozen=True)

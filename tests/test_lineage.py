@@ -19,7 +19,6 @@ from cellbranch.lineage import (
     batch_step,
     collect_hitting_times,
     hitting_time,
-    normalized_process,
     simulate_normalized_batch,
     simulate_path,
     simulate_states_batch,
@@ -139,7 +138,7 @@ class TestHittingTime:
         rng = np.random.default_rng(8)
         summary = collect_hitting_times(1, env, imm, rng, samples=60, cap=1000)
         # with no immigration in infected states, capping is surviving
-        expected = survival_no_immigration(env, 1, 1000)
+        expected = survival_no_immigration(env, 1, 1000).upper[-1]
         assert summary.capped_fraction > 0.0
         assert abs(summary.capped_fraction - expected) < 4 * np.sqrt(expected * (1 - expected) / 60)
 
@@ -210,20 +209,20 @@ class TestNormalizedProcess:
     def test_deterministic_growth_is_flat(self):
         env = EnvironmentLaw(((BivariateOffspringLaw.delta(3, 3), 1.0),))
         rng = np.random.default_rng(14)
-        traj = simulate_path(1, 12, env, ImmigrationPair.zero(), rng)
-        assert normalized_process(traj) == pytest.approx(np.ones(13))
+        w = simulate_normalized_batch(1, env, ImmigrationPair.zero(), rng, 8, checkpoints=[0, 6, 12])
+        for t in (0, 6, 12):
+            assert w[t] == pytest.approx(np.ones(8))
 
     def test_empty_chain_is_zero(self):
         env = build_binomial_split(FiniteLaw.delta(2), [(0.5, 1.0)])
         rng = np.random.default_rng(15)
-        traj = simulate_path(0, 10, env, ImmigrationPair.zero(), rng)
-        assert normalized_process(traj) == pytest.approx(np.zeros(11))
+        w = simulate_normalized_batch(0, env, ImmigrationPair.zero(), rng, 8, checkpoints=[10])
+        assert (w[10] == 0.0).all()
 
     def test_zero_mean_rejected(self):
         rng = np.random.default_rng(16)
-        traj = simulate_path(1, 3, dying_env(), ImmigrationPair.zero(), rng)
         with pytest.raises(DegenerateMarginal):
-            normalized_process(traj)
+            simulate_normalized_batch(1, dying_env(), ImmigrationPair.zero(), rng, 8, checkpoints=[3])
 
     def test_geometric_series_mean_with_unit_immigration(self):
         # marginal mean 3 on both sides, one immigrant per division

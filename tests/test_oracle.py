@@ -1,5 +1,6 @@
 """Truncated-kernel oracle checks against hand enumeration and closed forms."""
 
+import itertools
 import math
 
 import numpy as np
@@ -451,14 +452,15 @@ class TestStationary:
 
 class TestSurvival:
     def test_subcritical_thinning(self):
-        env = subcritical_env()
-        for n in (1, 4, 10, 30):
-            assert survival_no_immigration(env, 1, n) == pytest.approx(2.0**-n, abs=1e-13)
+        survival = survival_no_immigration(subcritical_env(), 1, 30)
+        assert survival.lower is survival.upper
+        for n in (0, 1, 4, 10, 30):
+            assert survival.upper[n] == pytest.approx(2.0**-n, abs=1e-13)
 
     def test_multiple_starters_share_environment(self):
         env = subcritical_env()
         # with an effectively deterministic environment, starters thin independently
-        assert survival_no_immigration(env, 3, 5) == pytest.approx(
+        assert survival_no_immigration(env, 3, 5).upper[5] == pytest.approx(
             1.0 - (1.0 - 2.0**-5) ** 3, abs=1e-12
         )
 
@@ -467,21 +469,58 @@ class TestSurvival:
         q = 0.0
         for _ in range(10_000):
             q = (0.5 + 0.5 * q) ** 3
-        assert survival_no_immigration(env, 1, 4000) == pytest.approx(1.0 - q, abs=1e-9)
+        assert survival_no_immigration(env, 1, 4000).upper[-1] == pytest.approx(1.0 - q, abs=1e-9)
 
     def test_critical_survival_matches_direct_iteration(self):
         env = build_binomial_split(FiniteLaw.delta(2), [(0.5, 1.0)])
         s = 0.0
         for _ in range(256):
             s = (0.5 + 0.5 * s) ** 2
-        assert survival_no_immigration(env, 1, 256) == pytest.approx(1.0 - s, abs=1e-13)
+        assert survival_no_immigration(env, 1, 256).upper[-1] == pytest.approx(1.0 - s, abs=1e-13)
 
-    def test_enumeration_and_kernel_routes_agree(self):
+    def test_bracket_is_exact_without_escape(self):
+        # A brood of one never leaves 0..k0: each line survives a step with
+        # the realized Bernoulli mean q, so given the environment survival is
+        # 1 - (1 - prod q)^k0.  Enumerate the multisets of the 10 realized q.
         env = build_binomial_split(FiniteLaw.delta(1), [(0.3, 0.5), (0.8, 0.5)])
-        by_enum = survival_no_immigration(env, 2, 10)
-        by_kernel = survival_no_immigration(env, 2, 10, value_budget=1)
-        assert by_kernel == pytest.approx(by_enum, abs=1e-9)
+        qs = (0.2, 0.3, 0.7, 0.8)
+        exact = 0.0
+        for combo in itertools.combinations_with_replacement(qs, 10):
+            ways = math.factorial(10) / math.prod(math.factorial(combo.count(q)) for q in qs)
+            exact += ways / 4**10 * (1.0 - (1.0 - math.prod(combo)) ** 2)
+        survival = survival_no_immigration(env, 2, 10)
+        assert survival.lower[10] == pytest.approx(survival.upper[10], abs=1e-15)
+        assert survival.upper[10] == pytest.approx(exact, abs=1e-14)
+        assert exact == pytest.approx(0.0019435065401180, abs=1e-15)
+
+    def test_brackets_nest_as_truncation_grows(self):
+        env = build_binomial_split(FiniteLaw.delta(4), uniform_grid_p(64))
+        brackets = [survival_no_immigration(env, 1, 40, K=K) for K in (64, 128, 512)]
+        for coarse, fine in zip(brackets, brackets[1:]):
+            assert (coarse.lower <= fine.lower + 1e-12).all()
+            assert (fine.upper <= coarse.upper + 1e-12).all()
+        assert (brackets[-1].lower <= brackets[-1].upper).all()
+        assert brackets[0].lower[40] == pytest.approx(0.377, abs=5e-4)
+        assert brackets[0].upper[40] == pytest.approx(0.548, abs=5e-4)
+        assert brackets[-1].lower[40] == pytest.approx(0.494, abs=5e-4)
+        assert brackets[-1].upper[40] == pytest.approx(0.531, abs=5e-4)
+
+    def test_upper_end_counts_escaped_mass_as_surviving(self):
+        env = build_binomial_split(FiniteLaw.delta(4), uniform_grid_p(64))
+        kernel = build_kernel(env, ImmigrationPair.zero(), 512, overflow_budget=None)
+        upper = survival_no_immigration(env, 1, 40).upper[40]
+        assert upper == pytest.approx(1.0 - propagate(kernel, 1, 40).probs[0], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "env", [subcritical_env(), build_binomial_split(FiniteLaw.delta(2), uniform_grid_p(4))],
+        ids=["one-marginal", "several-marginals"],
+    )
+    def test_bad_arguments_rejected(self, env):
+        with pytest.raises(ValueError, match="horizon"):
+            survival_no_immigration(env, 1, -1)
+        with pytest.raises(ValueError, match="start state"):
+            survival_no_immigration(env, 9, 5, K=8)
 
     def test_uniform_grid_subcritical_decay(self):
         env = build_binomial_split(FiniteLaw.delta(2), uniform_grid_p(64))
-        assert survival_no_immigration(env, 1, 40) < 0.05
+        assert survival_no_immigration(env, 1, 40).upper[40] < 0.05

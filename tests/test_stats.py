@@ -1,4 +1,4 @@
-"""Comparator checks: total variation, Wilson intervals, sqrt(n) stabilization."""
+"""Comparator checks: total variation, sqrt(n) stabilization."""
 
 import math
 
@@ -9,8 +9,6 @@ from hypothesis import given, settings, strategies as st
 from cellbranch.oracle import PmfVector
 from cellbranch.stats import (
     EmpiricalMeasure,
-    EmptySeries,
-    proportion_ci,
     sqrtn_stabilization,
     tv_distance,
 )
@@ -56,25 +54,6 @@ class TestTvDistance:
         assert tv_distance(p, q) == pytest.approx(tv_distance(q, p))
         assert tv_distance(p, r) <= tv_distance(p, q) + tv_distance(q, r) + 1e-12
         assert 0.0 <= tv_distance(p, q) <= 1.0
-
-
-class TestProportionCi:
-    def test_zero_successes_contains_zero(self):
-        lo, hi = proportion_ci(0, 50, 0.95)
-        assert lo <= 0.0 <= hi
-
-    def test_all_successes_contains_one(self):
-        lo, hi = proportion_ci(50, 50, 0.95)
-        assert lo <= 1.0 <= hi
-
-    def test_half_in_one_thousand(self):
-        lo, hi = proportion_ci(500, 1000, 0.95)
-        assert lo == pytest.approx(0.469, abs=0.001)
-        assert hi == pytest.approx(0.531, abs=0.001)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            proportion_ci(0, 0)
 
 
 class TestSqrtnStabilization:

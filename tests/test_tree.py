@@ -20,18 +20,15 @@ from cellbranch.presets import subcritical_binomial
 from cellbranch.stats import EmptySeries, EmpiricalMeasure, tv_distance
 from cellbranch.tree import (
     DepthTooLarge,
-    PrefixLedger,
     _tally,
     advance_generation,
     collapsed_total_law,
     growth_exponent,
     infected_fraction_series,
     iter_forest_bfs,
-    prefix_ledgers,
     simulate_parasite_totals,
     simulate_tree_bfs,
     simulate_tree_dfs,
-    total_parasites_series,
 )
 
 
@@ -254,13 +251,12 @@ class TestParasiteTotals:
         assert tv < 0.03
         assert abs(forest_totals.mean() - chain_totals[:, 3].mean()) < 1.5
 
-    def test_series_helpers(self):
+    def test_parasites_total_is_python_int(self):
         env, imm = self.gw_setup(4)
         rng = np.random.default_rng(13)
         ledgers = simulate_tree_bfs(0, 4, env, imm, rng)
-        series = total_parasites_series(ledgers)
-        assert len(series) == 5
-        assert all(isinstance(v, int) for v in series)
+        assert len(ledgers) == 5
+        assert all(isinstance(led.parasites_total, int) for led in ledgers)
 
 
 class TestGrowthExponent:
@@ -318,21 +314,6 @@ class TestGrowthExponent:
         totals = simulate_parasite_totals(env, imm, 0, 20, rng, n_runs=200)
         fits = [growth_exponent(row).exponent for row in totals]
         assert abs(np.mean(fits) - math.log(3)) < 0.15
-
-
-class TestPrefixLedgers:
-    def test_counts_cover_all_cells_seen(self):
-        rng = np.random.default_rng(15)
-        ledgers = simulate_tree_bfs(0, 6, sub_env(), toy_imm(), rng)
-        prefixes = prefix_ledgers(ledgers)
-        for n, pref in enumerate(prefixes):
-            assert pref.denominator == 2 ** (n + 1)
-            assert sum(pref.counts.values()) == 2 ** (n + 1) - 1
-            assert sum(pref.proportions().values()) == pytest.approx(1 - 1 / pref.denominator)
-
-    def test_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            PrefixLedger(n=1, counts={0: 2}, denominator=4)
 
 
 class TestLedgerTally:
