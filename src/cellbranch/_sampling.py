@@ -58,36 +58,52 @@ def capped_sum(counts: np.ndarray, values: np.ndarray, trials: np.ndarray) -> np
 
 def divide(
     states: np.ndarray,
-    tables: list[tuple[np.ndarray, tuple[np.ndarray, ...]]],
+    tables: list[tuple[np.ndarray, tuple[np.ndarray, ...], float | None]],
     picks: np.ndarray,
+    daughters: int,
     imm: ImmigrationPair,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """One division of every lane: offspring through a drawn table, then contamination.
 
     Lane i's ``states[i]`` parasites reproduce through ``tables[picks[i]]``,
-    a ``(probs, value_columns)`` pair: one multinomial draw over the table's
-    atoms, summed against each value column, gives one output row per column.
-    Tables none of whose lanes hold a parasite are skipped (a binomial with
-    zero trials draws nothing, so skipping moves no draw).  Each row then
-    gets ``imm.y0`` contamination where the mother was parasite-free and
-    ``imm.y1`` elsewhere, and saturates at ``BATCH_STATE_CAP``.  Returns an
-    int64 array of shape (number of value columns, len(states)).
+    a ``(probs, value_columns, p)`` triple, into ``daughters`` output rows
+    (two for a whole division, one for a cell line that follows one
+    daughter).  A pair table (``p`` None) draws one multinomial over its
+    atoms and sums it against each of its ``daughters`` value columns.  A
+    split table holds the brood law Z in one column: the brood total T, the
+    sum of x iid Z, is capped at ``BATCH_STATE_CAP`` and split as
+    s0 ~ Bin(T, p), then s1 = T - s0 when two rows are drawn.  Tables none
+    of whose lanes hold a parasite are skipped (a binomial with zero trials
+    draws nothing, so skipping moves no draw).  Each row then gets ``imm.y0``
+    contamination where the mother was parasite-free and ``imm.y1``
+    elsewhere, each side drawn only when its law is not zero, and saturates
+    at ``BATCH_STATE_CAP``.  Returns an int64 array of shape
+    (daughters, len(states)).
     """
-    rows = np.zeros((len(tables[0][1]), len(states)), dtype=np.int64)
-    for t, (probs, columns) in enumerate(tables):
+    rows = np.zeros((daughters, len(states)), dtype=np.int64)
+    for t, (probs, columns, p) in enumerate(tables):
         mask = picks == t
         x = states[mask]
-        if x.any():
-            counts = multinomial_counts(rng, x, probs)
+        if not x.any():
+            continue
+        counts = multinomial_counts(rng, x, probs)
+        if p is None:
             for row, values in zip(rows, columns):
                 row[mask] = capped_sum(counts, values, x)
+            continue
+        total = capped_sum(counts, columns[0], x)
+        first = rng.binomial(total, p)
+        rows[0, mask] = first
+        if daughters == 2:
+            rows[1, mask] = np.subtract(total, first, out=total)
     free = states == 0
-    infected = ~free
-    n_free = np.count_nonzero(free)
-    draws = np.empty(len(states), dtype=np.int64)
+    sides = [(mask, law) for mask, law in ((free, imm.y0), (~free, imm.y1)) if not law.is_zero]
+    if not sides:
+        return rows
+    draws = np.zeros(len(states), dtype=np.int64)
     for row in rows:
-        draws[free] = imm.y0.sample_many(rng, n_free)
-        draws[infected] = imm.y1.sample_many(rng, len(states) - n_free)
+        for mask, law in sides:
+            draws[mask] = law.sample_many(rng, np.count_nonzero(mask))
         row += draws
     return np.minimum(rows, BATCH_STATE_CAP, out=rows)

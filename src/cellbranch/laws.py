@@ -206,7 +206,12 @@ CountLaw = Union[FiniteLaw, HeavyTailLaw]
 
 @dataclass(frozen=True)
 class BivariateOffspringLaw:
-    """Joint law of one parasite's offspring pair (to daughter 0, to daughter 1)."""
+    """Joint law of one parasite's offspring pair (to daughter 0, to daughter 1).
+
+    ``_split`` is the (Z law, p) of a law that ``build_binomial_split`` built,
+    where each of Z children picks daughter 0 with probability p, and None
+    otherwise; the simulators draw such a law from Z and p, not its pair atoms.
+    """
 
     support: tuple[tuple[tuple[int, int], float], ...]
 
@@ -226,10 +231,21 @@ class BivariateOffspringLaw:
         object.__setattr__(self, "_b", np.array([k for (_, k), _ in support], dtype=np.int64))
         object.__setattr__(self, "_probs", probs)
         object.__setattr__(self, "_marginals", (self._build_marginal(0), self._build_marginal(1)))
+        object.__setattr__(self, "_split", None)
 
     @classmethod
     def delta(cls, j: int, k: int) -> "BivariateOffspringLaw":
         return cls((((j, k), 1.0),))
+
+    def _table(self, side: int | None) -> tuple[np.ndarray, tuple[np.ndarray, ...], float | None]:
+        """This law's ``_sampling.divide`` table: both daughters, or only ``side``'s."""
+        if self._split is not None:
+            z, p = self._split
+            return z._probs_arr, (z._vals_arr,), p if side != 1 else 1.0 - p
+        if side is None:
+            return self.pair_probs, self.pair_values, None
+        marg = self._marginals[side]
+        return marg._probs_arr, (marg._vals_arr,), None
 
     @property
     def pair_probs(self) -> np.ndarray:
@@ -331,7 +347,8 @@ def build_binomial_split(
     """Environment where each of a parasite's Z children independently picks daughter 0.
 
     For each split parameter p, the component law is
-    P(X0=a, X1=b) = P(Z=a+b) * C(a+b, a) * p^a * (1-p)^b, computed exactly.
+    P(X0=a, X1=b) = P(Z=a+b) * C(a+b, a) * p^a * (1-p)^b, computed exactly,
+    and records (Z, p) as its ``_split``.
     """
     if not z_law.values:
         raise ValueError("empty reproduction law")
@@ -354,7 +371,9 @@ def build_binomial_split(
                     )
                 support.append(((a, z - a), prob))
                 comb = comb * (z - a) // (a + 1)
-        comps.append((BivariateOffspringLaw(tuple(support)), w))
+        law = BivariateOffspringLaw(tuple(support))
+        object.__setattr__(law, "_split", (z_law, float(p)))
+        comps.append((law, w))
     return EnvironmentLaw(tuple(comps))
 
 

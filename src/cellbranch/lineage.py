@@ -10,15 +10,17 @@ One vectorized step, ``batch_step``, advances every lane of a state array
 through that construction; every runner here is built on it.  It is the
 tree's division seen from one daughter: each lane's (component, side)
 marginal is one table of ``_sampling.divide``, which also draws the
-contamination and applies the cap.  A single trajectory is a one-lane run
-that records the realized reproduction means, so the normalized process
-(state divided by the running product of means) is available.  The two
-batch runners share one checkpoint loop.  Return times and the regeneration
-estimate of the stationary law come from one laned excursion runner: n
-independent excursions advance together and each lane drops out at its
-return to the empty state.  States saturate at ``BATCH_STATE_CAP`` = 2^53,
-the one state cap, where float64 still counts exactly; a trajectory that
-reaches it is flagged ``saturated``.
+contamination and applies the cap.  For a binomially split component the
+side's offspring are Bin(T, p) or Bin(T, 1-p) of the brood total T, one
+binomial per lane; other components draw over the side's marginal atoms.
+A single trajectory is a one-lane run.  The two batch runners share one
+checkpoint loop; the normalized one divides each state by the running
+product of the realized reproduction means that ``batch_step`` records.
+Return times and the regeneration estimate of the stationary law come from
+one laned excursion runner: n independent excursions advance together and
+each lane drops out at its return to the empty state.  States saturate at
+``BATCH_STATE_CAP`` = 2^53, the one state cap, where float64 still counts
+exactly; a trajectory that reaches it is flagged ``saturated``.
 """
 
 from __future__ import annotations
@@ -53,15 +55,9 @@ class ExcursionCapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class LineageTrajectory:
-    """One path of the chain with its realized reproduction means.
-
-    ``normalizer[n]`` is the product of the first n realized means, so
-    ``states[n] / normalizer[n]`` is the mean-normalized population.
-    """
+    """One path of the chain; ``saturated`` when it reached ``BATCH_STATE_CAP``."""
 
     states: np.ndarray
-    env_means: np.ndarray
-    normalizer: np.ndarray
     saturated: bool = False
 
     def __len__(self) -> int:
@@ -108,14 +104,11 @@ def simulate_path(
     """Simulate n divisions starting from k0 parasites."""
     lane = start_lanes(k0, 1)
     states = np.empty(n + 1, dtype=np.int64)
-    means = np.empty(n, dtype=float)
     states[0] = k0
     for i in range(n):
-        lane = batch_step(lane, env, imm, rng, means_out=means[i : i + 1])
+        lane = batch_step(lane, env, imm, rng)
         states[i + 1] = lane[0]
-    normalizer = np.concatenate(([1.0], np.cumprod(means)))
-    return LineageTrajectory(states=states, env_means=means, normalizer=normalizer,
-                             saturated=bool(states.max() >= BATCH_STATE_CAP))
+    return LineageTrajectory(states=states, saturated=bool(states.max() >= BATCH_STATE_CAP))
 
 
 def _merge_visits(
@@ -260,13 +253,13 @@ def batch_step(
     Each lane draws a component, then a daughter side, and divides through
     that side's marginal: table ``2 * component + side`` of ``divide``.
     """
-    marginals = [law.marginal(side) for law in env.laws for side in (0, 1)]
     comps = env.sample_indices(rng, len(states))
     picks = 2 * comps + rng.integers(0, 2, size=len(states))
-    tables = [(m._probs_arr, (m._vals_arr,)) for m in marginals]
-    new = divide(states, tables, picks, imm, rng)[0]
+    tables = [law._table(side) for law in env.laws for side in (0, 1)]
+    new = divide(states, tables, picks, 1, imm, rng)[0]
     if means_out is not None:
-        means_out[:] = np.array([m.mean for m in marginals])[picks]
+        means = [law.marginal(side).mean for law in env.laws for side in (0, 1)]
+        means_out[:] = np.array(means)[picks]
     return new
 
 

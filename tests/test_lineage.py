@@ -92,7 +92,6 @@ class TestSimulatePath:
         rng = np.random.default_rng(0)
         traj = simulate_path(9, 0, *sub_binom(), rng)
         assert list(traj.states) == [9]
-        assert traj.normalizer[0] == 1.0
 
     def test_absorbing_collapse(self):
         rng = np.random.default_rng(4)

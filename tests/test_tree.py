@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cellbranch._sampling import BATCH_STATE_CAP
+from cellbranch._sampling import BATCH_STATE_CAP, multinomial_counts
 from cellbranch.experiments import TREE_DOMAIN, run_tree, substream
 from cellbranch.laws import (
     BivariateOffspringLaw,
@@ -15,6 +16,7 @@ from cellbranch.laws import (
     build_binomial_split,
     build_cluster_split,
 )
+from cellbranch.lineage import batch_step
 from cellbranch.oracle import build_kernel, propagate, stationary_solve
 from cellbranch.presets import subcritical_binomial
 from cellbranch.stats import EmptySeries, EmpiricalMeasure, tv_distance
@@ -83,6 +85,84 @@ class TestAdvanceGeneration:
         )
         rng = np.random.default_rng(5)
         assert list(advance_generation([0, 5], dying_env(), imm, rng)) == [1, 1, 3, 3]
+
+    def test_zero_pair_draws_only_the_offspring(self):
+        law = BivariateOffspringLaw((((1, 1), 0.5), ((2, 0), 0.3), ((0, 0), 0.2)))
+        env = EnvironmentLaw(((law, 1.0),))
+        cells = np.array([3, 0, 5, 1])
+        rng = np.random.default_rng(7)
+        children = advance_generation(cells, env, ImmigrationPair.zero(), rng)
+        offspring_only = np.random.default_rng(7)
+        env.sample_indices(offspring_only, cells.size)
+        counts = multinomial_counts(offspring_only, cells, law.pair_probs)
+        assert rng.bit_generator.state == offspring_only.bit_generator.state
+        a, b = law.pair_values
+        assert list(children) == list(np.column_stack((counts @ a, counts @ b)).ravel())
+
+
+def _split_env():
+    # a non-delta brood and two components whose split parameters differ
+    return build_binomial_split(FiniteLaw((1, 3), (0.5, 0.5)), [(0.3, 0.5), (0.8, 0.5)])
+
+
+def _pair_key(s0, s1):
+    return 100 * s0 + s1
+
+
+class TestSplitDraws:
+    def test_binomial_split_records_its_brood_and_parameter(self):
+        z = FiniteLaw((1, 3), (0.5, 0.5))
+        assert [law._split for law in _split_env().laws] == [(z, 0.3), (z, 0.8)]
+        assert build_cluster_split(z, [(0.3, 1.0)]).laws[0]._split is None
+
+    def test_joint_daughters_match_the_convolved_pair_law(self):
+        env = _split_env()
+        exact: dict[int, float] = {}
+        for law, w in env.components:
+            joint = {(0, 0): 1.0}
+            for _ in range(3):
+                step: dict[tuple[int, int], float] = {}
+                for (a, b), q in joint.items():
+                    for (j, k), r in law.support:
+                        step[(a + j, b + k)] = step.get((a + j, b + k), 0.0) + q * r
+                joint = step
+            for (a, b), q in joint.items():
+                exact[_pair_key(a, b)] = exact.get(_pair_key(a, b), 0.0) + w * q
+        rng = np.random.default_rng(8)
+        children = advance_generation(np.full(200_000, 3), env, ImmigrationPair.zero(), rng)
+        keys = _pair_key(children[0::2], children[1::2])
+        assert tv_distance(EmpiricalMeasure.from_samples(keys), exact) < 0.01
+
+    def test_cell_line_step_matches_kernel_row(self):
+        env = _split_env()
+        imm = ImmigrationPair(FiniteLaw.bernoulli(0.5), FiniteLaw((0, 1), (0.7, 0.3)))
+        exact = propagate(build_kernel(env, imm, 64, overflow_budget=None), 3, 1)
+        rng = np.random.default_rng(9)
+        states = batch_step(np.full(200_000, 3), env, imm, rng)
+        assert tv_distance(EmpiricalMeasure.from_samples(states), exact) < 0.01
+
+    @given(
+        x=st.integers(BATCH_STATE_CAP - 2**20, BATCH_STATE_CAP),
+        z=st.integers(0, 4),
+        p=st.floats(0.0, 1.0),
+        contaminated=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_counts_stay_in_range_at_the_cap(self, x, z, p, contaminated):
+        split = build_binomial_split(FiniteLaw.delta(z), [(p, 1.0)])
+        pair = EnvironmentLaw(((BivariateOffspringLaw(split.laws[0].support), 1.0),))
+        coin = FiniteLaw.bernoulli(0.5)
+        imm = ImmigrationPair(coin, coin) if contaminated else ImmigrationPair.zero()
+        rng = np.random.default_rng(10)
+        cells = np.array([x, x - 1, 1])
+        for env in (split, pair):
+            for step in (advance_generation, batch_step):
+                out = step(cells, env, imm, rng)
+                assert out.min() >= 0 and out.max() <= BATCH_STATE_CAP
+        if not contaminated:
+            children = advance_generation(cells, split, imm, rng)
+            totals = children[0::2] + children[1::2]
+            assert list(totals) == [min(c * z, BATCH_STATE_CAP) for c in cells.tolist()]
 
 
 class TestBfs:
