@@ -12,6 +12,10 @@ if TYPE_CHECKING:
 # Batch states saturate here: float64 still counts exactly up to 2**53.
 BATCH_STATE_CAP = 2**53
 
+# One offspring table of ``divide``: atom probabilities, one value column per
+# daughter row drawn, and a binomial split's (Z probs, Z values, p) or None.
+Table = tuple[np.ndarray, tuple[np.ndarray, ...], tuple[np.ndarray, np.ndarray, float] | None]
+
 
 def start_lanes(k0: int, n: int) -> np.ndarray:
     """n copies of the start state k0, which must be nonnegative."""
@@ -58,7 +62,7 @@ def capped_sum(counts: np.ndarray, values: np.ndarray, trials: np.ndarray) -> np
 
 def divide(
     states: np.ndarray,
-    tables: list[tuple[np.ndarray, tuple[np.ndarray, ...], float | None]],
+    tables: list[Table],
     picks: np.ndarray,
     daughters: int,
     imm: ImmigrationPair,
@@ -66,37 +70,41 @@ def divide(
 ) -> np.ndarray:
     """One division of every lane: offspring through a drawn table, then contamination.
 
-    Lane i's ``states[i]`` parasites reproduce through ``tables[picks[i]]``,
-    a ``(probs, value_columns, p)`` triple, into ``daughters`` output rows
-    (two for a whole division, one for a cell line that follows one
-    daughter).  A pair table (``p`` None) draws one multinomial over its
-    atoms and sums it against each of its ``daughters`` value columns.  A
-    split table holds the brood law Z in one column: the brood total T, the
-    sum of x iid Z, is capped at ``BATCH_STATE_CAP`` and split as
-    s0 ~ Bin(T, p), then s1 = T - s0 when two rows are drawn.  Tables none
-    of whose lanes hold a parasite are skipped (a binomial with zero trials
-    draws nothing, so skipping moves no draw).  Each row then gets ``imm.y0``
-    contamination where the mother was parasite-free and ``imm.y1``
-    elsewhere, each side drawn only when its law is not zero, and saturates
-    at ``BATCH_STATE_CAP``.  Returns an int64 array of shape
-    (daughters, len(states)).
+    Lane i's ``states[i]`` parasites reproduce through ``tables[picks[i]]``
+    into ``daughters`` output rows (two for a whole division, one for a cell
+    line that follows one daughter).  A table is ``(probs, value_columns,
+    split)``: one multinomial over its atoms, summed against each of its
+    ``daughters`` value columns, draws the offspring.  A binomial split's
+    table also holds ``split`` = (Z probs, Z values, p), and is drawn from
+    it instead: the brood total T, the sum of x iid Z, is split as
+    s0 ~ Bin(T, p), then s1 = T - s0 when two rows are drawn.  T is not
+    capped, so each daughter is exact or saturated, as on the atoms; where
+    x times the largest Z could pass int64 the atoms are drawn instead.
+    Tables none of whose lanes hold a parasite are skipped (a binomial with
+    zero trials draws nothing, so skipping moves no draw).  Each row then
+    gets ``imm.y0`` contamination where the mother was parasite-free and
+    ``imm.y1`` elsewhere, each side drawn only when its law is not zero.
+    Every row saturates at ``BATCH_STATE_CAP``.  Returns an int64 array of
+    shape (daughters, len(states)).
     """
     rows = np.zeros((daughters, len(states)), dtype=np.int64)
-    for t, (probs, columns, p) in enumerate(tables):
+    for t, (probs, columns, split) in enumerate(tables):
         mask = picks == t
         x = states[mask]
         if not x.any():
             continue
-        counts = multinomial_counts(rng, x, probs)
-        if p is None:
-            for row, values in zip(rows, columns):
-                row[mask] = capped_sum(counts, values, x)
+        if split is not None and int(x.max()) * int(split[1].max()) < 2**63:
+            z_probs, z_vals, p = split
+            total = multinomial_counts(rng, x, z_probs) @ z_vals
+            first = rng.binomial(total, p)
+            rows[0, mask] = np.minimum(first, BATCH_STATE_CAP)
+            if daughters == 2:
+                np.subtract(total, first, out=total)
+                rows[1, mask] = np.minimum(total, BATCH_STATE_CAP, out=total)
             continue
-        total = capped_sum(counts, columns[0], x)
-        first = rng.binomial(total, p)
-        rows[0, mask] = first
-        if daughters == 2:
-            rows[1, mask] = np.subtract(total, first, out=total)
+        counts = multinomial_counts(rng, x, probs)
+        for row, values in zip(rows, columns):
+            row[mask] = capped_sum(counts, values, x)
     free = states == 0
     sides = [(mask, law) for mask, law in ((free, imm.y0), (~free, imm.y1)) if not law.is_zero]
     if not sides:

@@ -22,7 +22,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from ._sampling import BATCH_STATE_CAP
+from ._sampling import BATCH_STATE_CAP, Table
 
 NORMALIZATION_TOL = 1e-12
 CRITICAL_TOL = 1e-12
@@ -237,15 +237,16 @@ class BivariateOffspringLaw:
     def delta(cls, j: int, k: int) -> "BivariateOffspringLaw":
         return cls((((j, k), 1.0),))
 
-    def _table(self, side: int | None) -> tuple[np.ndarray, tuple[np.ndarray, ...], float | None]:
+    def _table(self, side: int | None) -> Table:
         """This law's ``_sampling.divide`` table: both daughters, or only ``side``'s."""
+        split = None
         if self._split is not None:
             z, p = self._split
-            return z._probs_arr, (z._vals_arr,), p if side != 1 else 1.0 - p
+            split = (z._probs_arr, z._vals_arr, p if side != 1 else 1.0 - p)
         if side is None:
-            return self.pair_probs, self.pair_values, None
+            return self.pair_probs, self.pair_values, split
         marg = self._marginals[side]
-        return marg._probs_arr, (marg._vals_arr,), None
+        return marg._probs_arr, (marg._vals_arr,), split
 
     @property
     def pair_probs(self) -> np.ndarray:

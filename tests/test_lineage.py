@@ -111,6 +111,14 @@ class TestSimulatePath:
         assert traj.saturated
         assert traj.states.max() == BATCH_STATE_CAP
 
+    def test_saturation_flag_under_binomial_split(self):
+        # a brood of 4 split with p = 1/2 doubles a large state every step
+        env = build_binomial_split(FiniteLaw.delta(4), [(0.5, 1.0)])
+        rng = np.random.default_rng(6)
+        traj = simulate_path(64, 70, env, ImmigrationPair.zero(), rng)
+        assert traj.saturated
+        assert traj.states[-1] == BATCH_STATE_CAP
+
     def test_deterministic_given_seed(self):
         env, imm = sub_geom()
         a = simulate_path(2, 40, env, imm, np.random.default_rng(99))

@@ -18,7 +18,7 @@ from cellbranch.laws import (
 )
 from cellbranch.lineage import batch_step
 from cellbranch.oracle import build_kernel, propagate, stationary_solve
-from cellbranch.presets import subcritical_binomial
+from cellbranch.presets import split_environment, subcritical_binomial
 from cellbranch.stats import EmptySeries, EmpiricalMeasure, tv_distance
 from cellbranch.tree import (
     DepthTooLarge,
@@ -161,8 +161,21 @@ class TestSplitDraws:
                 assert out.min() >= 0 and out.max() <= BATCH_STATE_CAP
         if not contaminated:
             children = advance_generation(cells, split, imm, rng)
-            totals = children[0::2] + children[1::2]
-            assert list(totals) == [min(c * z, BATCH_STATE_CAP) for c in cells.tolist()]
+            for c, s0, s1 in zip(cells.tolist(), children[0::2].tolist(), children[1::2].tolist()):
+                # each daughter is exact or saturated on its own
+                if max(s0, s1) < BATCH_STATE_CAP:
+                    assert s0 + s1 == c * z
+                else:
+                    assert s0 + s1 >= min(c * z, BATCH_STATE_CAP)
+
+    def test_saturated_mother_has_saturated_daughters(self):
+        cap = np.array([BATCH_STATE_CAP])
+        rng = np.random.default_rng(11)
+        for z in (4, 1024):  # 1024 * 2**53 passes int64, so the atoms are drawn
+            env = split_environment(z)
+            children = advance_generation(cap, env, ImmigrationPair.zero(), rng)
+            assert list(children) == [BATCH_STATE_CAP] * 2
+            assert list(batch_step(cap, env, ImmigrationPair.zero(), rng)) == [BATCH_STATE_CAP]
 
 
 class TestBfs:
