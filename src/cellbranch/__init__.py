@@ -30,12 +30,10 @@ from .lineage import (
     LineageTrajectory,
     RegenerationEstimate,
     collect_hitting_times,
-    hitting_time,
     simulate_normalized_batch,
     simulate_path,
     simulate_states_batch,
     stationary_by_regeneration,
-    step,
 )
 from .oracle import (
     NonConvergent,

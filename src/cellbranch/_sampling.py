@@ -7,14 +7,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
-    from .laws import ImmigrationPair
+    from .laws import EnvironmentLaw, ImmigrationPair
 
 # Batch states saturate here: float64 still counts exactly up to 2**53.
 BATCH_STATE_CAP = 2**53
-
-# One offspring table of ``divide``: atom probabilities, one value column per
-# daughter row drawn, and a binomial split's (Z probs, Z values, p) or None.
-Table = tuple[np.ndarray, tuple[np.ndarray, ...], tuple[np.ndarray, np.ndarray, float] | None]
 
 
 def start_lanes(k0: int, n: int) -> np.ndarray:
@@ -62,49 +58,49 @@ def capped_sum(counts: np.ndarray, values: np.ndarray, trials: np.ndarray) -> np
 
 def divide(
     states: np.ndarray,
-    tables: list[Table],
-    picks: np.ndarray,
-    daughters: int,
+    env: EnvironmentLaw,
+    comps: np.ndarray,
     imm: ImmigrationPair,
     rng: np.random.Generator,
+    keep: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One division of every lane: offspring through a drawn table, then contamination.
+    """One division of every lane: both daughters' offspring, then contamination.
 
-    Lane i's ``states[i]`` parasites reproduce through ``tables[picks[i]]``
-    into ``daughters`` output rows (two for a whole division, one for a cell
-    line that follows one daughter).  A table is ``(probs, value_columns,
-    split)``: one multinomial over its atoms, summed against each of its
-    ``daughters`` value columns, draws the offspring.  A binomial split's
-    table also holds ``split`` = (Z probs, Z values, p), and is drawn from
-    it instead: the brood total T, the sum of x iid Z, is split as
-    s0 ~ Bin(T, p), then s1 = T - s0 when two rows are drawn.  T is not
-    capped, so each daughter is exact or saturated, as on the atoms; where
-    x times the largest Z could pass int64 the atoms are drawn instead.
-    Tables none of whose lanes hold a parasite are skipped (a binomial with
-    zero trials draws nothing, so skipping moves no draw).  Each row then
-    gets ``imm.y0`` contamination where the mother was parasite-free and
-    ``imm.y1`` elsewhere, each side drawn only when its law is not zero.
-    Every row saturates at ``BATCH_STATE_CAP``.  Returns an int64 array of
-    shape (daughters, len(states)).
+    Lane i's ``states[i]`` parasites reproduce through component
+    ``comps[i]`` of ``env`` into two daughter rows.  A binomial split
+    environment records ``env._split`` = (Z, each component's p) and is
+    drawn from it, all lanes at once: the brood total T, the sum of x iid Z,
+    is split as s0 ~ Bin(T, p), s1 = T - s0.  T is not capped, so each
+    daughter is exact or saturated on its own.  Other environments, and a
+    split one whose x times the largest Z could pass int64, draw one
+    multinomial over each component's pair atoms (components none of whose
+    lanes hold a parasite are skipped: a binomial with zero trials draws
+    nothing, so skipping moves no draw).  ``keep``, one 0 or 1 per lane,
+    keeps that daughter's row only, as the cell line follows one daughter.
+    Each kept row saturates at ``BATCH_STATE_CAP``, then gets ``imm.y0``
+    contamination where the mother was parasite-free and ``imm.y1``
+    elsewhere, each side drawn only when its law is not zero.  Returns an
+    int64 array of shape (2, len(states)), or (1, len(states)) with ``keep``.
     """
-    rows = np.zeros((daughters, len(states)), dtype=np.int64)
-    for t, (probs, columns, split) in enumerate(tables):
-        mask = picks == t
-        x = states[mask]
-        if not x.any():
-            continue
-        if split is not None and int(x.max()) * int(split[1].max()) < 2**63:
-            z_probs, z_vals, p = split
-            total = multinomial_counts(rng, x, z_probs) @ z_vals
-            first = rng.binomial(total, p)
-            rows[0, mask] = np.minimum(first, BATCH_STATE_CAP)
-            if daughters == 2:
-                np.subtract(total, first, out=total)
-                rows[1, mask] = np.minimum(total, BATCH_STATE_CAP, out=total)
-            continue
-        counts = multinomial_counts(rng, x, probs)
-        for row, values in zip(rows, columns):
-            row[mask] = capped_sum(counts, values, x)
+    split = env._split
+    if split is not None and int(states.max(initial=0)) * split[0].max_value < 2**63:
+        z, ps = split
+        total = multinomial_counts(rng, states, z._probs_arr) @ z._vals_arr
+        first = rng.binomial(total, ps[comps])
+        rows = np.stack((first, np.subtract(total, first, out=total)))
+    else:
+        rows = np.zeros((2, len(states)), dtype=np.int64)
+        for c, law in enumerate(env.laws):
+            mask = comps == c
+            x = states[mask]
+            if not x.any():
+                continue
+            counts = multinomial_counts(rng, x, law.pair_probs)
+            for row, values in zip(rows, law.pair_values):
+                row[mask] = capped_sum(counts, values, x)
+    if keep is not None:
+        rows = np.choose(keep, rows)[None]
+    np.minimum(rows, BATCH_STATE_CAP, out=rows)
     free = states == 0
     sides = [(mask, law) for mask, law in ((free, imm.y0), (~free, imm.y1)) if not law.is_zero]
     if not sides:

@@ -61,10 +61,27 @@ class RunConfig:
     raw: dict[str, Any]
 
 
+def _object(value: Any, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+    return value
+
+
 def _require(mapping: dict, key: str, where: str) -> Any:
-    if key not in mapping:
+    if key not in _object(mapping, where):
         raise ConfigError(f"missing '{key}' in {where}")
     return mapping[key]
+
+
+def _integer(value: Any, what: str) -> int:
+    """``value`` as an int; anything but an integral number is a ``ConfigError``."""
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or out != value:
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return out
 
 
 def parse_count_law(payload: dict[str, Any], where: str):
@@ -83,7 +100,7 @@ def parse_count_law(payload: dict[str, Any], where: str):
 
 def _parse_p_values(payload: Any, where: str) -> list[tuple[float, float]]:
     if isinstance(payload, dict) and "uniform_grid" in payload:
-        return uniform_grid_p(int(payload["uniform_grid"]))
+        return uniform_grid_p(_integer(payload["uniform_grid"], f"{where}.p_values.uniform_grid"))
     if isinstance(payload, list):
         out = []
         for entry in payload:
@@ -116,7 +133,7 @@ def parse_environment(payload: dict[str, Any]) -> EnvironmentLaw:
             return EnvironmentLaw(tuple(comps))
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad environment: {exc}") from exc
     raise ConfigError(
         f"unknown builder {builder!r} (binomial_split | cluster_split | explicit_bivariate)"
@@ -125,7 +142,7 @@ def parse_environment(payload: dict[str, Any]) -> EnvironmentLaw:
 
 def parse_immigration(payload: dict[str, Any]) -> ImmigrationPair:
     where = "model.immigration"
-    mode = payload.get("mode", "standard")
+    mode = _object(payload, where).get("mode", "standard")
     try:
         if mode == "zero":
             return ImmigrationPair.zero()
@@ -140,7 +157,7 @@ def parse_immigration(payload: dict[str, Any]) -> ImmigrationPair:
             )
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         # includes inadmissible contamination pairs
         raise ConfigError(f"bad immigration: {exc}") from exc
     raise ConfigError(f"unknown immigration mode {mode!r} (standard | zero | state_independent)")
@@ -157,12 +174,12 @@ def load_config(source: str | Path | dict[str, Any]) -> RunConfig:
     model = _require(raw, "model", "config")
     env = parse_environment(_require(model, "environment", "model"))
     imm = parse_immigration(_require(model, "immigration", "model"))
-    k0 = int(model.get("k0", 0))
+    k0 = _integer(model.get("k0", 0), "model.k0")
     if k0 < 0:
         raise ConfigError("k0 must be nonnegative")
-    seed = int(raw.get("seed", 0))
-    experiment = raw.get("experiment", {})
-    output = raw.get("output", {})
+    seed = _integer(raw.get("seed", 0), "seed")
+    experiment = _object(raw.get("experiment", {}), "experiment")
+    output = _object(raw.get("output", {}), "output")
     return RunConfig(
         seed=seed,
         env=env,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, _require
+from .config import ConfigError, RunConfig, _integer, _require
 from .laws import EnvironmentLaw, ImmigrationPair
 from .lineage import simulate_states_batch
 from .oracle import (
@@ -156,13 +156,18 @@ def run_experiment(cfg: RunConfig, out_dir: Path, workers: int = 1) -> list[str]
     kind = _require(cfg.experiment, "kind", "experiment")
     outputs: list[str] = []
     if kind in ("lineage", "tree"):
-        n = int(_require(cfg.experiment, "n", "experiment"))
-        replicates = int(_require(cfg.experiment, "replicates", "experiment"))
+        n = _integer(_require(cfg.experiment, "n", "experiment"), "experiment.n")
+        replicates = _integer(
+            _require(cfg.experiment, "replicates", "experiment"), "experiment.replicates"
+        )
         if replicates < 1:
             raise ConfigError(f"replicates must be at least 1, got {replicates}")
 
     if kind == "lineage":
-        checkpoints = [int(c) for c in cfg.experiment.get("checkpoints", [n])]
+        checkpoints = cfg.experiment.get("checkpoints", [n])
+        if not isinstance(checkpoints, list):
+            raise ConfigError(f"checkpoints must be a list, got {checkpoints!r}")
+        checkpoints = [_integer(c, "experiment.checkpoints") for c in checkpoints]
         if not checkpoints or min(checkpoints) < 0:
             raise ConfigError(f"checkpoints must be nonnegative and not empty, got {checkpoints}")
         merged = run_lineage(cfg.env, cfg.imm, cfg.k0, checkpoints, replicates, cfg.seed, workers)
@@ -212,8 +217,8 @@ def run_experiment(cfg: RunConfig, out_dir: Path, workers: int = 1) -> list[str]
         outputs.append(str(spath))
 
     elif kind == "oracle":
-        K = int(cfg.experiment.get("K", 512))
-        n = int(cfg.experiment.get("n", 50))
+        K = _integer(cfg.experiment.get("K", 512), "experiment.K")
+        n = _integer(cfg.experiment.get("n", 50), "experiment.n")
         if K < 0 or n < 0:
             raise ConfigError(f"oracle K and n must be nonnegative, got K={K}, n={n}")
         budget = cfg.experiment.get("overflow_budget", 1e-6)
@@ -230,7 +235,8 @@ def run_experiment(cfg: RunConfig, out_dir: Path, workers: int = 1) -> list[str]
             write_csv(path, ("state", "probability"), rows)
             outputs.append(str(path))
         if "renewal" in quantities:
-            limit = renewal_limit(kernel, cap=int(cfg.experiment.get("cap", 100_000)))
+            cap = _integer(cfg.experiment.get("cap", 100_000), "experiment.cap")
+            limit = renewal_limit(kernel, cap=cap)
             u = renewal_sequence(kernel, n)
             path = out_dir / "oracle_renewal.json"
             write_json(

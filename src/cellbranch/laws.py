@@ -22,7 +22,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from ._sampling import BATCH_STATE_CAP, Table
+from ._sampling import BATCH_STATE_CAP
 
 NORMALIZATION_TOL = 1e-12
 CRITICAL_TOL = 1e-12
@@ -206,12 +206,7 @@ CountLaw = Union[FiniteLaw, HeavyTailLaw]
 
 @dataclass(frozen=True)
 class BivariateOffspringLaw:
-    """Joint law of one parasite's offspring pair (to daughter 0, to daughter 1).
-
-    ``_split`` is the (Z law, p) of a law that ``build_binomial_split`` built,
-    where each of Z children picks daughter 0 with probability p, and None
-    otherwise; the simulators draw such a law from Z and p, not its pair atoms.
-    """
+    """Joint law of one parasite's offspring pair (to daughter 0, to daughter 1)."""
 
     support: tuple[tuple[tuple[int, int], float], ...]
 
@@ -231,22 +226,10 @@ class BivariateOffspringLaw:
         object.__setattr__(self, "_b", np.array([k for (_, k), _ in support], dtype=np.int64))
         object.__setattr__(self, "_probs", probs)
         object.__setattr__(self, "_marginals", (self._build_marginal(0), self._build_marginal(1)))
-        object.__setattr__(self, "_split", None)
 
     @classmethod
     def delta(cls, j: int, k: int) -> "BivariateOffspringLaw":
         return cls((((j, k), 1.0),))
-
-    def _table(self, side: int | None) -> Table:
-        """This law's ``_sampling.divide`` table: both daughters, or only ``side``'s."""
-        split = None
-        if self._split is not None:
-            z, p = self._split
-            split = (z._probs_arr, z._vals_arr, p if side != 1 else 1.0 - p)
-        if side is None:
-            return self.pair_probs, self.pair_values, split
-        marg = self._marginals[side]
-        return marg._probs_arr, (marg._vals_arr,), split
 
     @property
     def pair_probs(self) -> np.ndarray:
@@ -284,7 +267,13 @@ class BivariateOffspringLaw:
 
 @dataclass(frozen=True)
 class EnvironmentLaw:
-    """Finite mixture of bivariate offspring laws: the random environment."""
+    """Finite mixture of bivariate offspring laws: the random environment.
+
+    ``_split`` is (Z law, array of each component's p) for an environment
+    that ``build_binomial_split`` built, where each of a parasite's Z
+    children picks daughter 0 with probability p, and None otherwise; the
+    simulators draw such an environment from Z and p, not its pair atoms.
+    """
 
     components: tuple[tuple[BivariateOffspringLaw, float], ...]
 
@@ -298,6 +287,7 @@ class EnvironmentLaw:
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_cum", np.cumsum(weights))
+        object.__setattr__(self, "_split", None)
 
     @property
     def laws(self) -> tuple[BivariateOffspringLaw, ...]:
@@ -348,8 +338,8 @@ def build_binomial_split(
     """Environment where each of a parasite's Z children independently picks daughter 0.
 
     For each split parameter p, the component law is
-    P(X0=a, X1=b) = P(Z=a+b) * C(a+b, a) * p^a * (1-p)^b, computed exactly,
-    and records (Z, p) as its ``_split``.
+    P(X0=a, X1=b) = P(Z=a+b) * C(a+b, a) * p^a * (1-p)^b, computed exactly;
+    the environment records (Z, the p values) as its ``_split``.
     """
     if not z_law.values:
         raise ValueError("empty reproduction law")
@@ -372,10 +362,10 @@ def build_binomial_split(
                     )
                 support.append(((a, z - a), prob))
                 comb = comb * (z - a) // (a + 1)
-        law = BivariateOffspringLaw(tuple(support))
-        object.__setattr__(law, "_split", (z_law, float(p)))
-        comps.append((law, w))
-    return EnvironmentLaw(tuple(comps))
+        comps.append((BivariateOffspringLaw(tuple(support)), w))
+    env = EnvironmentLaw(tuple(comps))
+    object.__setattr__(env, "_split", (z_law, np.array([float(p) for p, _ in p_values])))
+    return env
 
 
 def build_cluster_split(

@@ -8,14 +8,12 @@ parasite-free, the infected-state law otherwise.
 
 One vectorized step, ``batch_step``, advances every lane of a state array
 through that construction; every runner here is built on it.  It is the
-tree's division seen from one daughter: each lane's (component, side)
-marginal is one table of ``_sampling.divide``, which also draws the
-contamination and applies the cap.  For a binomially split component the
-side's offspring are Bin(T, p) or Bin(T, 1-p) of the brood total T, one
-binomial per lane; other components draw over the side's marginal atoms.
-A single trajectory is a one-lane run.  The two batch runners share one
-checkpoint loop; the normalized one divides each state by the running
-product of the realized reproduction means that ``batch_step`` records.
+tree's division with one daughter kept: each lane draws a component and a
+side, ``_sampling.divide`` draws both daughters as the tree does, and the
+lane keeps the side's row, contaminated and capped.  A single trajectory
+is a one-lane run.  The two batch runners share one checkpoint loop; the
+normalized one divides each state by the running product of the realized
+reproduction means that ``batch_step`` records.
 Return times and the regeneration estimate of the stationary law come from
 one laned excursion runner: n independent excursions advance together and
 each lane drops out at its return to the empty state.  States saturate at
@@ -89,15 +87,6 @@ class RegenerationEstimate:
     lengths: np.ndarray
 
 
-def step(
-    z: int, env: EnvironmentLaw, imm: ImmigrationPair, rng: np.random.Generator
-) -> tuple[int, float]:
-    """Advance the chain one division; returns (new state, realized mean)."""
-    mean = np.empty(1)
-    new = batch_step(start_lanes(z, 1), env, imm, rng, means_out=mean)
-    return int(new[0]), float(mean[0])
-
-
 def simulate_path(
     k0: int, n: int, env: EnvironmentLaw, imm: ImmigrationPair, rng: np.random.Generator
 ) -> LineageTrajectory:
@@ -164,14 +153,6 @@ def _excursions(
         for v, c in zip(values.tolist(), counts.tolist()):
             visits[v] = visits.get(v, 0) + int(c)
     return times, capped, visits
-
-
-def hitting_time(
-    k0: int, env: EnvironmentLaw, imm: ImmigrationPair, rng: np.random.Generator, cap: int
-) -> int | None:
-    """First division index at which the cell line is parasite-free; None if capped."""
-    times, capped, _ = _excursions(k0, env, imm, rng, 1, cap)
-    return None if capped[0] else int(times[0])
 
 
 def collect_hitting_times(
@@ -250,16 +231,14 @@ def batch_step(
 ) -> np.ndarray:
     """Advance every path one division; optionally records realized means.
 
-    Each lane draws a component, then a daughter side, and divides through
-    that side's marginal: table ``2 * component + side`` of ``divide``.
+    Each lane draws a component and a daughter side, divides as the tree
+    does, and keeps that side's daughter.
     """
     comps = env.sample_indices(rng, len(states))
-    picks = 2 * comps + rng.integers(0, 2, size=len(states))
-    tables = [law._table(side) for law in env.laws for side in (0, 1)]
-    new = divide(states, tables, picks, 1, imm, rng)[0]
+    sides = rng.integers(0, 2, size=len(states))
+    new = divide(states, env, comps, imm, rng, keep=sides)[0]
     if means_out is not None:
-        means = [law.marginal(side).mean for law in env.laws for side in (0, 1)]
-        means_out[:] = np.array(means)[picks]
+        means_out[:] = np.array([(law.m0, law.m1) for law in env.laws])[comps, sides]
     return new
 
 
@@ -303,7 +282,7 @@ def simulate_normalized_batch(
     log_pi = np.zeros(n_paths)
     step_means = np.empty(n_paths)
     # one math.log per realized marginal mean: np.log can differ from it in the last bit
-    means = np.unique([law.marginal(side).mean for law in env.laws for side in (0, 1)])
+    means = np.unique([(law.m0, law.m1) for law in env.laws])
     logs = np.array([math.log(m) if m > 0.0 else -math.inf for m in means])
 
     def advance(states):

@@ -6,11 +6,11 @@ reproduce through that mechanism's joint law (child goes to daughter 0 or
 daughter 1), and each daughter independently receives contamination: from the
 state-zero law when the mother was parasite-free, from the infected-state law
 otherwise.  ``advance_generation`` draws that division through
-``_sampling.divide``, one table per environment component; the random cell
-line takes the same step from one daughter.  A binomially split component
-draws the brood total T of the cell's x parasites (the sum of x iid Z), then
-s0 ~ Bin(T, p) and s1 = T - s0; other components draw one multinomial over
-their joint pair atoms.
+``_sampling.divide``; the random cell line takes the same division and
+keeps one daughter.  A binomially split environment draws the brood total T
+of the cell's x parasites (the sum of x iid Z), then s0 ~ Bin(T, p) with the
+cell's own p and s1 = T - s0, for all cells at once; other environments
+draw one multinomial per component over its joint pair atoms.
 
 Two traversals cover the practical depth range.  The breadth-first simulator
 advances whole generations as arrays and keeps a ledger per generation; runs
@@ -138,8 +138,7 @@ def advance_generation(
     states = np.asarray(cells, dtype=np.int64)
     if states.size == 0:
         raise ValueError("need at least one cell")
-    tables = [law._table(None) for law in env.laws]
-    return divide(states, tables, env.sample_indices(rng, states.size), 2, imm, rng).T.ravel()
+    return divide(states, env, env.sample_indices(rng, states.size), imm, rng).T.ravel()
 
 
 def simulate_tree_bfs(

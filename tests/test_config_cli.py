@@ -270,6 +270,35 @@ class TestCli:
         assert "nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "o" / "oracle_pmf.csv").exists()
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("model", "environment", "p_values"), [0.5]),
+            (("model", "environment", "p_values"), {"uniform_grid": 2.5}),
+            (("model", "environment", "z", "values"), 2),
+            (("model", "environment"),
+             {"builder": "explicit_bivariate", "components": [{"support": [5]}]}),
+            (("experiment", "n"), "five"),
+            (("model", "immigration"), [1]),
+            (("output",), 5),
+        ],
+        ids=["p-value-not-a-pair", "grid-not-an-int", "z-values-not-a-list", "support-not-triples",
+             "n-not-an-int", "immigration-not-an-object", "output-not-an-object"],
+    )
+    def test_wrong_json_type_exits_two(self, tmp_path, capsys, path, value):
+        config = {
+            "model": json.loads(json.dumps(BASE_MODEL)),
+            "experiment": {"kind": "lineage", "n": 5, "replicates": 10},
+        }
+        *parents, key = path
+        section = config
+        for name in parents:
+            section = section[name]
+        section[key] = value
+        cfg = write_config(tmp_path, config)
+        assert main(["lineage", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path, {"model": BASE_MODEL})
         monkeypatch.setenv("CELLBRANCH_OUT", str(tmp_path / "envout"))

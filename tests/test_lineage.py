@@ -18,12 +18,10 @@ from cellbranch.lineage import (
     ExcursionCapExceeded,
     batch_step,
     collect_hitting_times,
-    hitting_time,
     simulate_normalized_batch,
     simulate_path,
     simulate_states_batch,
     stationary_by_regeneration,
-    step,
 )
 from cellbranch.oracle import build_kernel, propagate, stationary_solve, survival_no_immigration
 from cellbranch.stats import EmpiricalMeasure, tv_distance
@@ -55,17 +53,32 @@ def super_env():
 class TestStep:
     def test_empty_cell_stays_empty_without_contamination(self):
         rng = np.random.default_rng(0)
-        z, mean = step(0, dying_env(), ImmigrationPair.zero(), rng)
-        assert z == 0
-        assert mean == 0.0
+        mean = np.empty(1)
+        z = batch_step(np.array([0]), dying_env(), ImmigrationPair.zero(), rng, means_out=mean)
+        assert list(z) == [0]
+        assert list(mean) == [0.0]
 
     def test_dead_offspring_leaves_only_immigration(self):
         rng = np.random.default_rng(1)
         imm = ImmigrationPair(
             FiniteLaw.bernoulli(0.5), FiniteLaw.delta(3), require_contamination_condition=False
         )
-        z, _ = step(5, dying_env(), imm, rng)
-        assert z == 3
+        assert list(batch_step(np.array([5]), dying_env(), imm, rng)) == [3]
+
+    def test_means_follow_each_lanes_component_and_side(self):
+        # (component, side) means 1, 0, 2 and 3, each beside the daughter its lane keeps
+        env = EnvironmentLaw(
+            (
+                (BivariateOffspringLaw.delta(1, 0), 0.5),
+                (BivariateOffspringLaw((((3, 2), 0.5), ((1, 4), 0.5))), 0.5),
+            )
+        )
+        rng = np.random.default_rng(5)
+        means = np.empty(10_000)
+        ones = np.ones(10_000, dtype=np.int64)
+        out = batch_step(ones, env, ImmigrationPair.zero(), rng, means_out=means)
+        kept = {m: set(out[means == m].tolist()) for m in np.unique(means).tolist()}
+        assert kept == {0.0: {0}, 1.0: {1}, 2.0: {1, 3}, 3.0: {2, 4}}
 
     def test_contamination_keyed_on_each_lanes_state(self):
         imm = ImmigrationPair(
@@ -83,7 +96,7 @@ class TestStep:
     def test_scalar_step_matches_contamination_mean(self):
         env, imm = toy_chain()
         rng = np.random.default_rng(3)
-        draws = [step(0, env, imm, rng)[0] for _ in range(20_000)]
+        draws = [int(batch_step(np.array([0]), env, imm, rng)[0]) for _ in range(20_000)]
         assert abs(np.mean(draws) - 0.5) < 0.011  # 3 sigma
 
 
@@ -129,7 +142,9 @@ class TestSimulatePath:
 class TestHittingTime:
     def test_immediate_return(self):
         rng = np.random.default_rng(0)
-        assert hitting_time(0, dying_env(), ImmigrationPair.zero(), rng, cap=10) == 1
+        summary = collect_hitting_times(0, dying_env(), ImmigrationPair.zero(), rng, 1, cap=10)
+        assert list(summary.times) == [1]
+        assert summary.capped_fraction == 0.0
 
     def test_toy_chain_mean_return(self):
         env, imm = toy_chain()
@@ -244,7 +259,6 @@ class TestNormalizedProcess:
     "run",
     [
         pytest.param(lambda *model: simulate_path(-3, 4, *model), id="simulate_path"),
-        pytest.param(lambda *model: hitting_time(-2, *model, cap=10), id="hitting_time"),
         pytest.param(lambda *model: collect_hitting_times(-2, *model, samples=5),
                      id="collect_hitting_times"),
         pytest.param(lambda *model: simulate_states_batch(-3, *model, 4, [1]),

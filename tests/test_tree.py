@@ -105,6 +105,13 @@ def _split_env():
     return build_binomial_split(FiniteLaw((1, 3), (0.5, 0.5)), [(0.3, 0.5), (0.8, 0.5)])
 
 
+def _atoms_env():
+    # components of two binomial splits with different broods: no shared Z, so no _split
+    a = build_binomial_split(FiniteLaw((1, 3), (0.5, 0.5)), [(0.3, 1.0)])
+    b = build_binomial_split(FiniteLaw.delta(2), [(0.8, 1.0)])
+    return EnvironmentLaw(((a.laws[0], 0.5), (b.laws[0], 0.5)))
+
+
 def _pair_key(s0, s1):
     return 100 * s0 + s1
 
@@ -112,34 +119,49 @@ def _pair_key(s0, s1):
 class TestSplitDraws:
     def test_binomial_split_records_its_brood_and_parameter(self):
         z = FiniteLaw((1, 3), (0.5, 0.5))
-        assert [law._split for law in _split_env().laws] == [(z, 0.3), (z, 0.8)]
-        assert build_cluster_split(z, [(0.3, 1.0)]).laws[0]._split is None
+        split_z, ps = _split_env()._split
+        assert split_z == z and list(ps) == [0.3, 0.8]
+        assert build_cluster_split(z, [(0.3, 1.0)])._split is None
+        assert _atoms_env()._split is None
+
+    def test_split_environment_draws_every_cell_at_once(self):
+        # one brood total per cell, then one binomial over all cells with each cell's own p
+        env = _split_env()
+        cells = np.arange(64) % 7
+        rng = np.random.default_rng(12)
+        children = advance_generation(cells, env, ImmigrationPair.zero(), rng)
+        twin = np.random.default_rng(12)
+        comps = env.sample_indices(twin, cells.size)
+        total = multinomial_counts(twin, cells, np.array([0.5, 0.5])) @ np.array([1, 3])
+        s0 = twin.binomial(total, np.array([0.3, 0.8])[comps])
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert list(children) == list(np.column_stack((s0, total - s0)).ravel())
 
     def test_joint_daughters_match_the_convolved_pair_law(self):
-        env = _split_env()
-        exact: dict[int, float] = {}
-        for law, w in env.components:
-            joint = {(0, 0): 1.0}
-            for _ in range(3):
-                step: dict[tuple[int, int], float] = {}
-                for (a, b), q in joint.items():
-                    for (j, k), r in law.support:
-                        step[(a + j, b + k)] = step.get((a + j, b + k), 0.0) + q * r
-                joint = step
-            for (a, b), q in joint.items():
-                exact[_pair_key(a, b)] = exact.get(_pair_key(a, b), 0.0) + w * q
         rng = np.random.default_rng(8)
-        children = advance_generation(np.full(200_000, 3), env, ImmigrationPair.zero(), rng)
-        keys = _pair_key(children[0::2], children[1::2])
-        assert tv_distance(EmpiricalMeasure.from_samples(keys), exact) < 0.01
+        for env in (_split_env(), _atoms_env()):
+            exact: dict[int, float] = {}
+            for law, w in env.components:
+                joint = {(0, 0): 1.0}
+                for _ in range(3):
+                    step: dict[tuple[int, int], float] = {}
+                    for (a, b), q in joint.items():
+                        for (j, k), r in law.support:
+                            step[(a + j, b + k)] = step.get((a + j, b + k), 0.0) + q * r
+                    joint = step
+                for (a, b), q in joint.items():
+                    exact[_pair_key(a, b)] = exact.get(_pair_key(a, b), 0.0) + w * q
+            children = advance_generation(np.full(200_000, 3), env, ImmigrationPair.zero(), rng)
+            keys = _pair_key(children[0::2], children[1::2])
+            assert tv_distance(EmpiricalMeasure.from_samples(keys), exact) < 0.01
 
     def test_cell_line_step_matches_kernel_row(self):
-        env = _split_env()
         imm = ImmigrationPair(FiniteLaw.bernoulli(0.5), FiniteLaw((0, 1), (0.7, 0.3)))
-        exact = propagate(build_kernel(env, imm, 64, overflow_budget=None), 3, 1)
         rng = np.random.default_rng(9)
-        states = batch_step(np.full(200_000, 3), env, imm, rng)
-        assert tv_distance(EmpiricalMeasure.from_samples(states), exact) < 0.01
+        for env in (_split_env(), _atoms_env()):
+            exact = propagate(build_kernel(env, imm, 64, overflow_budget=None), 3, 1)
+            states = batch_step(np.full(200_000, 3), env, imm, rng)
+            assert tv_distance(EmpiricalMeasure.from_samples(states), exact) < 0.01
 
     @given(
         x=st.integers(BATCH_STATE_CAP - 2**20, BATCH_STATE_CAP),
