@@ -25,22 +25,16 @@ def multinomial_counts(
 ) -> np.ndarray:
     """Multinomial category counts for a different trial count per row.
 
-    Peeling categories off with conditional binomials keeps the draw exact
-    and vectorized across rows even when trial counts vary (numpy's own
-    multinomial wants a scalar n).  Returns an int64 array of shape
-    (len(n), len(probs)) whose rows sum to n.
+    ``probs`` is one law over the categories, or one law per row (shape
+    (len(n), categories)); ``Generator.multinomial`` draws every row, each
+    by conditional binomials.  One category draws nothing: its counts are
+    ``n`` itself, as a column.  Returns an int64 array of shape
+    (len(n), categories) whose rows sum to n.
     """
-    remaining = np.asarray(n, dtype=np.int64).copy()
-    counts = np.empty((len(remaining), len(probs)), dtype=np.int64)
-    rem_p = 1.0
-    for j in range(len(probs) - 1):
-        frac = probs[j] / rem_p if rem_p > 1e-15 else 1.0
-        c = rng.binomial(remaining, min(max(frac, 0.0), 1.0))
-        counts[:, j] = c
-        remaining -= c
-        rem_p -= probs[j]
-    counts[:, -1] = remaining
-    return counts
+    n = np.asarray(n, dtype=np.int64)
+    if probs.shape[-1] == 1:
+        return n[:, None]
+    return rng.multinomial(n, probs)
 
 
 def capped_sum(counts: np.ndarray, values: np.ndarray, trials: np.ndarray) -> np.ndarray:
@@ -72,10 +66,10 @@ def divide(
     drawn from it, all lanes at once: the brood total T, the sum of x iid Z,
     is split as s0 ~ Bin(T, p), s1 = T - s0.  T is not capped, so each
     daughter is exact or saturated on its own.  Other environments, and a
-    split one whose x times the largest Z could pass int64, draw one
-    multinomial over each component's pair atoms (components none of whose
-    lanes hold a parasite are skipped: a binomial with zero trials draws
-    nothing, so skipping moves no draw).  ``keep``, one 0 or 1 per lane,
+    split one whose x times the largest Z could pass int64, draw from the
+    pair table ``env._atoms``: one multinomial of x trials per lane over its
+    component's row, whose counts times the (a, b) pairs give both
+    daughters in one product.  ``keep``, one 0 or 1 per lane,
     keeps that daughter's row only, as the cell line follows one daughter.
     Each kept row saturates at ``BATCH_STATE_CAP``, then gets ``imm.y0``
     contamination where the mother was parasite-free and ``imm.y1``
@@ -89,15 +83,9 @@ def divide(
         first = rng.binomial(total, ps[comps])
         rows = np.stack((first, np.subtract(total, first, out=total)))
     else:
-        rows = np.zeros((2, len(states)), dtype=np.int64)
-        for c, law in enumerate(env.laws):
-            mask = comps == c
-            x = states[mask]
-            if not x.any():
-                continue
-            counts = multinomial_counts(rng, x, law.pair_probs)
-            for row, values in zip(rows, law.pair_values):
-                row[mask] = capped_sum(counts, values, x)
+        values, probs = env._atoms
+        counts = multinomial_counts(rng, states, probs[comps] if len(probs) > 1 else probs)
+        rows = capped_sum(counts, values, states).T
     if keep is not None:
         rows = np.choose(keep, rows)[None]
     np.minimum(rows, BATCH_STATE_CAP, out=rows)

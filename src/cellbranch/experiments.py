@@ -193,6 +193,8 @@ def run_experiment(cfg: RunConfig, out_dir: Path, workers: int = 1) -> list[str]
 
     elif kind == "tree":
         traversal = cfg.experiment.get("traversal", "bfs")
+        if not isinstance(traversal, str):
+            raise ConfigError(f"traversal must be a string, got {traversal!r}")
         rows = run_tree(cfg.env, cfg.imm, cfg.k0, n, replicates, cfg.seed, traversal, workers)
         path = out_dir / "tree_ledgers.csv"
         write_csv(path, ("run_id", "n", "k", "count"), rows)
@@ -222,7 +224,11 @@ def run_experiment(cfg: RunConfig, out_dir: Path, workers: int = 1) -> list[str]
         if K < 0 or n < 0:
             raise ConfigError(f"oracle K and n must be nonnegative, got K={K}, n={n}")
         budget = cfg.experiment.get("overflow_budget", 1e-6)
+        if budget is not None and (type(budget) not in (int, float) or not budget >= 0):
+            raise ConfigError(f"overflow_budget must be a number >= 0 or null, got {budget!r}")
         quantities = cfg.experiment.get("quantities", list(_ORACLE_QUANTITIES))
+        if not isinstance(quantities, list):
+            raise ConfigError(f"quantities must be a list, got {quantities!r}")
         unknown = [q for q in quantities if q not in _ORACLE_QUANTITIES]
         if unknown:
             raise ConfigError(f"unknown oracle quantities {unknown}, expected {_ORACLE_QUANTITIES}")

@@ -232,14 +232,6 @@ class BivariateOffspringLaw:
         return cls((((j, k), 1.0),))
 
     @property
-    def pair_probs(self) -> np.ndarray:
-        return self._probs
-
-    @property
-    def pair_values(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._a, self._b
-
-    @property
     def m0(self) -> float:
         return float(self._a @ self._probs)
 
@@ -269,10 +261,14 @@ class BivariateOffspringLaw:
 class EnvironmentLaw:
     """Finite mixture of bivariate offspring laws: the random environment.
 
-    ``_split`` is (Z law, array of each component's p) for an environment
-    that ``build_binomial_split`` built, where each of a parasite's Z
-    children picks daughter 0 with probability p, and None otherwise; the
-    simulators draw such an environment from Z and p, not its pair atoms.
+    ``_atoms`` is the pair table the simulators draw from: ``values``, an
+    (A, 2) int64 array of every component's (a, b) pairs in order of first
+    appearance, and ``probs``, a (C, A) array of each component's
+    probability on them (0 off its support).  ``_split`` is (Z law, array
+    of each component's p) for an environment that ``build_binomial_split``
+    built, where each of a parasite's Z children picks daughter 0 with
+    probability p, and None otherwise; the simulators draw such an
+    environment from Z and p while x times the largest Z fits int64.
     """
 
     components: tuple[tuple[BivariateOffspringLaw, float], ...]
@@ -284,18 +280,22 @@ class EnvironmentLaw:
             np.array([w for _, w in self.components], dtype=float), "environment weights"
         )
         comps = tuple((law, float(w)) for (law, _), w in zip(self.components, weights))
+        index: dict[tuple[int, int], int] = {}
+        for law, _ in comps:
+            for pair, _ in law.support:
+                index.setdefault(pair, len(index))
+        probs = np.zeros((len(comps), len(index)))
+        for row, (law, _) in zip(probs, comps):
+            row[[index[pair] for pair, _ in law.support]] = law._probs
+        values = np.array(list(index), dtype=np.int64)
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_cum", np.cumsum(weights))
+        object.__setattr__(self, "_atoms", (values, probs))
         object.__setattr__(self, "_split", None)
 
     @property
     def laws(self) -> tuple[BivariateOffspringLaw, ...]:
         return tuple(law for law, _ in self.components)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._weights
 
     def sample_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.minimum(

@@ -10,7 +10,8 @@ otherwise.  ``advance_generation`` draws that division through
 keeps one daughter.  A binomially split environment draws the brood total T
 of the cell's x parasites (the sum of x iid Z), then s0 ~ Bin(T, p) with the
 cell's own p and s1 = T - s0, for all cells at once; other environments
-draw one multinomial per component over its joint pair atoms.
+draw every cell from the environment's one table of joint pair atoms, by
+one multinomial over the row of the cell's component.
 
 Two traversals cover the practical depth range.  The breadth-first simulator
 advances whole generations as arrays and keeps a ledger per generation; runs

@@ -271,24 +271,30 @@ class TestCli:
         assert not (tmp_path / "o" / "oracle_pmf.csv").exists()
 
     @pytest.mark.parametrize(
-        "path, value",
+        "command, path, value, message",
         [
-            (("model", "environment", "p_values"), [0.5]),
-            (("model", "environment", "p_values"), {"uniform_grid": 2.5}),
-            (("model", "environment", "z", "values"), 2),
-            (("model", "environment"),
-             {"builder": "explicit_bivariate", "components": [{"support": [5]}]}),
-            (("experiment", "n"), "five"),
-            (("model", "immigration"), [1]),
-            (("output",), 5),
+            ("lineage", ("model", "environment", "p_values"), [0.5], "bad environment"),
+            ("lineage", ("model", "environment", "p_values"), {"uniform_grid": 2.5}, "integer"),
+            ("lineage", ("model", "environment", "z", "values"), 2, "bad environment"),
+            ("lineage", ("model", "environment"),
+             {"builder": "explicit_bivariate", "components": [{"support": [5]}]}, "environment"),
+            ("lineage", ("experiment", "n"), "five", "integer"),
+            ("lineage", ("model", "immigration"), [1], "JSON object"),
+            ("lineage", ("output",), 5, "JSON object"),
+            ("oracle", ("experiment", "overflow_budget"), "tiny", "overflow_budget"),
+            ("oracle", ("experiment", "overflow_budget"), -1, "overflow_budget"),
+            ("tree", ("experiment", "traversal"), ["bfs"], "traversal must be a string"),
+            ("oracle", ("experiment", "quantities"), "pmf", "quantities must be a list"),
         ],
         ids=["p-value-not-a-pair", "grid-not-an-int", "z-values-not-a-list", "support-not-triples",
-             "n-not-an-int", "immigration-not-an-object", "output-not-an-object"],
+             "n-not-an-int", "immigration-not-an-object", "output-not-an-object",
+             "budget-not-a-number", "budget-negative", "traversal-not-a-string",
+             "quantities-not-a-list"],
     )
-    def test_wrong_json_type_exits_two(self, tmp_path, capsys, path, value):
+    def test_wrong_json_type_exits_two(self, tmp_path, capsys, command, path, value, message):
         config = {
             "model": json.loads(json.dumps(BASE_MODEL)),
-            "experiment": {"kind": "lineage", "n": 5, "replicates": 10},
+            "experiment": {"kind": command, "n": 5, "replicates": 10},
         }
         *parents, key = path
         section = config
@@ -296,8 +302,9 @@ class TestCli:
             section = section[name]
         section[key] = value
         cfg = write_config(tmp_path, config)
-        assert main(["lineage", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "config error" in capsys.readouterr().err
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path, {"model": BASE_MODEL})

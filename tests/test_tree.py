@@ -94,10 +94,10 @@ class TestAdvanceGeneration:
         children = advance_generation(cells, env, ImmigrationPair.zero(), rng)
         offspring_only = np.random.default_rng(7)
         env.sample_indices(offspring_only, cells.size)
-        counts = multinomial_counts(offspring_only, cells, law.pair_probs)
+        values, probs = env._atoms
+        counts = multinomial_counts(offspring_only, cells, probs)
         assert rng.bit_generator.state == offspring_only.bit_generator.state
-        a, b = law.pair_values
-        assert list(children) == list(np.column_stack((counts @ a, counts @ b)).ravel())
+        assert list(children) == list((counts @ values).ravel())
 
 
 def _split_env():
@@ -112,8 +112,46 @@ def _atoms_env():
     return EnvironmentLaw(((a.laws[0], 0.5), (b.laws[0], 0.5)))
 
 
+def _cluster_env():
+    # whole broods go to one daughter, with a different p per component
+    return build_cluster_split(FiniteLaw((1, 2), (0.5, 0.5)), [(0.3, 0.5), (0.8, 0.5)])
+
+
+def _disjoint_env():
+    # explicit components with no (a, b) pair in common
+    a = BivariateOffspringLaw((((1, 0), 0.6), ((0, 2), 0.4)))
+    b = BivariateOffspringLaw((((1, 1), 0.5), ((3, 0), 0.2), ((0, 0), 0.3)))
+    return EnvironmentLaw(((a, 0.4), (b, 0.6)))
+
+
 def _pair_key(s0, s1):
     return 100 * s0 + s1
+
+
+class TestMultinomialCounts:
+    def test_per_row_probabilities_replay_row_by_row(self):
+        n = np.array([0, 5, 17, 1000])
+        probs = np.array([[0.2, 0.3, 0.5], [0.0, 1.0, 0.0], [0.6, 0.0, 0.4], [0.1, 0.1, 0.8]])
+        counts = multinomial_counts(np.random.default_rng(13), n, probs)
+        assert list(counts.sum(axis=1)) == list(n) and not counts[probs == 0].any()
+        replay = np.random.default_rng(13)
+        rows = [replay.multinomial(int(k), p) for k, p in zip(n, probs)]
+        assert counts.tolist() == np.array(rows).tolist()
+
+    def test_one_category_draws_nothing(self):
+        rng = np.random.default_rng(14)
+        before = rng.bit_generator.state
+        n = np.array([0, 3, BATCH_STATE_CAP])
+        for probs in (np.array([1.0]), np.ones((3, 1))):
+            assert multinomial_counts(rng, n, probs).tolist() == [[0], [3], [BATCH_STATE_CAP]]
+        assert rng.bit_generator.state == before
+
+    def test_rows_at_the_cap(self):
+        n = np.full(4, BATCH_STATE_CAP)
+        probs = np.array([0.25, 0.25, 0.5])
+        counts = multinomial_counts(np.random.default_rng(15), n, probs)
+        assert counts.min() >= 0 and list(counts.sum(axis=1)) == list(n)
+        assert np.abs(counts / BATCH_STATE_CAP - probs).max() < 1e-6
 
 
 class TestSplitDraws:
@@ -139,7 +177,7 @@ class TestSplitDraws:
 
     def test_joint_daughters_match_the_convolved_pair_law(self):
         rng = np.random.default_rng(8)
-        for env in (_split_env(), _atoms_env()):
+        for env in (_split_env(), _atoms_env(), _cluster_env(), _disjoint_env()):
             exact: dict[int, float] = {}
             for law, w in env.components:
                 joint = {(0, 0): 1.0}
@@ -158,7 +196,7 @@ class TestSplitDraws:
     def test_cell_line_step_matches_kernel_row(self):
         imm = ImmigrationPair(FiniteLaw.bernoulli(0.5), FiniteLaw((0, 1), (0.7, 0.3)))
         rng = np.random.default_rng(9)
-        for env in (_split_env(), _atoms_env()):
+        for env in (_split_env(), _atoms_env(), _cluster_env(), _disjoint_env()):
             exact = propagate(build_kernel(env, imm, 64, overflow_budget=None), 3, 1)
             states = batch_step(np.full(200_000, 3), env, imm, rng)
             assert tv_distance(EmpiricalMeasure.from_samples(states), exact) < 0.01
