@@ -37,9 +37,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="path to a JSON run config")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="path to a JSON run config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--workers", type=int, default=1, help="parallel worker processes")

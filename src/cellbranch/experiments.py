@@ -223,6 +223,9 @@ def run_experiment(cfg: RunConfig, out_dir: Path, workers: int = 1) -> list[str]
         n = _integer(cfg.experiment.get("n", 50), "experiment.n")
         if K < 0 or n < 0:
             raise ConfigError(f"oracle K and n must be nonnegative, got K={K}, n={n}")
+        cap = _integer(cfg.experiment.get("cap", 100_000), "experiment.cap")
+        if cap < 1:
+            raise ConfigError(f"cap must be at least 1, got {cap}")
         budget = cfg.experiment.get("overflow_budget", 1e-6)
         if budget is not None and (type(budget) not in (int, float) or not budget >= 0):
             raise ConfigError(f"overflow_budget must be a number >= 0 or null, got {budget!r}")
@@ -241,7 +244,6 @@ def run_experiment(cfg: RunConfig, out_dir: Path, workers: int = 1) -> list[str]
             write_csv(path, ("state", "probability"), rows)
             outputs.append(str(path))
         if "renewal" in quantities:
-            cap = _integer(cfg.experiment.get("cap", 100_000), "experiment.cap")
             limit = renewal_limit(kernel, cap=cap)
             u = renewal_sequence(kernel, n)
             path = out_dir / "oracle_renewal.json"

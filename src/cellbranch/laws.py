@@ -163,11 +163,6 @@ class HeavyTailLaw:
     def is_zero(self) -> bool:
         return False
 
-    def pmf(self, n: int) -> float:
-        if n == 0:
-            return 0.5
-        return _HEAVY_C / (n * (1.0 + math.log(n)) ** 2)
-
     def pmf_array(self, size: int) -> tuple[np.ndarray, float]:
         out = np.zeros(size)
         out[0] = 0.5
@@ -204,6 +199,18 @@ class HeavyTailLaw:
 CountLaw = Union[FiniteLaw, HeavyTailLaw]
 
 
+def _aggregate(values: np.ndarray, probs: np.ndarray) -> FiniteLaw:
+    """The law of ``values`` drawn with ``probs``, repeated values merged.
+
+    Probabilities are summed in order of first appearance, so every derived
+    law (marginals, brood totals) rounds the same way.
+    """
+    acc: dict[int, float] = {}
+    for v, p in zip(values.tolist(), probs.tolist()):
+        acc[v] = acc.get(v, 0.0) + p
+    return FiniteLaw(tuple(acc), tuple(acc.values()))
+
+
 @dataclass(frozen=True)
 class BivariateOffspringLaw:
     """Joint law of one parasite's offspring pair (to daughter 0, to daughter 1)."""
@@ -225,7 +232,8 @@ class BivariateOffspringLaw:
         object.__setattr__(self, "_a", np.array([j for (j, _), _ in support], dtype=np.int64))
         object.__setattr__(self, "_b", np.array([k for (_, k), _ in support], dtype=np.int64))
         object.__setattr__(self, "_probs", probs)
-        object.__setattr__(self, "_marginals", (self._build_marginal(0), self._build_marginal(1)))
+        marginals = (_aggregate(self._a, probs), _aggregate(self._b, probs))
+        object.__setattr__(self, "_marginals", marginals)
 
     @classmethod
     def delta(cls, j: int, k: int) -> "BivariateOffspringLaw":
@@ -239,22 +247,12 @@ class BivariateOffspringLaw:
     def m1(self) -> float:
         return float(self._b @ self._probs)
 
-    def _build_marginal(self, side: int) -> FiniteLaw:
-        vals = self._a if side == 0 else self._b
-        acc: dict[int, float] = {}
-        for v, p in zip(vals.tolist(), self._probs.tolist()):
-            acc[v] = acc.get(v, 0.0) + p
-        return FiniteLaw(tuple(acc.keys()), tuple(acc.values()))
-
     def marginal(self, side: int) -> FiniteLaw:
         return self._marginals[side]
 
     def total_law(self) -> FiniteLaw:
         """Law of the parasite's total number of children (both daughters)."""
-        acc: dict[int, float] = {}
-        for (j, k), p in self.support:
-            acc[j + k] = acc.get(j + k, 0.0) + p
-        return FiniteLaw(tuple(acc.keys()), tuple(acc.values()))
+        return _aggregate(self._a + self._b, self._probs)
 
 
 @dataclass(frozen=True)
@@ -320,16 +318,12 @@ class EnvironmentLaw:
         Each environment component contributes its two daughter-side marginals
         with half the component weight; identical marginals are merged.
         """
-        acc: dict[tuple, tuple[FiniteLaw, float]] = {}
+        acc: dict[FiniteLaw, float] = {}
         for law, w in self.components:
             for side in (0, 1):
                 marg = law.marginal(side)
-                key = (marg.values, marg.probs)
-                if key in acc:
-                    acc[key] = (acc[key][0], acc[key][1] + 0.5 * w)
-                else:
-                    acc[key] = (marg, 0.5 * w)
-        return list(acc.values())
+                acc[marg] = acc.get(marg, 0.0) + 0.5 * w
+        return list(acc.items())
 
 
 def build_binomial_split(
@@ -451,12 +445,7 @@ class ImmigrationPair:
 
     @property
     def is_zero_pair(self) -> bool:
-        return (
-            isinstance(self.y0, FiniteLaw)
-            and isinstance(self.y1, FiniteLaw)
-            and self.y0.is_zero
-            and self.y1.is_zero
-        )
+        return self.y0.is_zero and self.y1.is_zero
 
 
 def classify_regime(env: EnvironmentLaw, imm: ImmigrationPair) -> RegimeReport:

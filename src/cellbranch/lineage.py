@@ -58,9 +58,6 @@ class LineageTrajectory:
     states: np.ndarray
     saturated: bool = False
 
-    def __len__(self) -> int:
-        return len(self.states)
-
 
 @dataclass(frozen=True)
 class HittingSummary:
@@ -90,13 +87,10 @@ class RegenerationEstimate:
 def simulate_path(
     k0: int, n: int, env: EnvironmentLaw, imm: ImmigrationPair, rng: np.random.Generator
 ) -> LineageTrajectory:
-    """Simulate n divisions starting from k0 parasites."""
-    lane = start_lanes(k0, 1)
-    states = np.empty(n + 1, dtype=np.int64)
-    states[0] = k0
-    for i in range(n):
-        lane = batch_step(lane, env, imm, rng)
-        states[i + 1] = lane[0]
+    """Simulate n divisions starting from k0 parasites: a one-lane batch run."""
+    # n is listed on its own so that a negative n is refused as a checkpoint
+    at = simulate_states_batch(k0, env, imm, rng, 1, [*range(n), n])
+    states = np.concatenate([at[t] for t in range(n + 1)])
     return LineageTrajectory(states=states, saturated=bool(states.max() >= BATCH_STATE_CAP))
 
 

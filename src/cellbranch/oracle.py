@@ -88,20 +88,15 @@ class TruncatedKernel:
 
     ``matrix[x, y]`` is the probability of moving from x parasites to y; the
     ``overflow`` column holds the mass landing above K (it never returns).
-    ``_reach[x]`` bounds the nonzero prefixes of rows 0..x (a kernel not made
-    by ``build_kernel`` gets the full width), and ``_excursions`` keeps the
-    taboo excursion from zero per cap.
+    ``_reach[x]`` bounds the nonzero prefixes of rows 0..x, and
+    ``_excursions`` keeps the taboo excursion from zero per cap.
     """
 
     matrix: np.ndarray
     overflow: np.ndarray
-    heavy_truncated: bool = False
-    _reach: np.ndarray | None = field(default=None, repr=False, compare=False)
+    heavy_truncated: bool
+    _reach: np.ndarray = field(repr=False, compare=False)
     _excursions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self._reach is None:
-            object.__setattr__(self, "_reach", np.full(self.size, self.size))
 
     @property
     def size(self) -> int:
@@ -312,6 +307,8 @@ class _Excursion:
 
 def _excursion(kernel: TruncatedKernel, cap: int) -> _Excursion:
     """The excursion from zero, run until its mass is gone or ``cap`` steps."""
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
     if cap in kernel._excursions:
         return kernel._excursions[cap]
     visits = np.zeros(kernel.size)

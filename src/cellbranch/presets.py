@@ -13,7 +13,6 @@ from .laws import (
     HeavyTailLaw,
     ImmigrationPair,
     build_binomial_split,
-    uniform_grid_p,
 )
 
 
@@ -25,11 +24,6 @@ def dying_environment() -> EnvironmentLaw:
 def split_environment(brood: int, p: float = 0.5) -> EnvironmentLaw:
     """Deterministic brood of the given size, binomially split between daughters."""
     return build_binomial_split(FiniteLaw.delta(brood), [(p, 1.0)])
-
-
-def uniform_split_environment(brood: int, atoms: int = 64) -> EnvironmentLaw:
-    """Deterministic brood with a uniformly distributed split parameter."""
-    return build_binomial_split(FiniteLaw.delta(brood), uniform_grid_p(atoms))
 
 
 def toy_chain() -> tuple[EnvironmentLaw, ImmigrationPair]:

@@ -56,9 +56,7 @@ Distribution = Union[EmpiricalMeasure, PmfVector, Mapping[int, float], np.ndarra
 
 
 def _as_dict(dist: Distribution) -> dict[int, float]:
-    if isinstance(dist, EmpiricalMeasure):
-        return dist.as_dict()
-    if isinstance(dist, PmfVector):
+    if isinstance(dist, (EmpiricalMeasure, PmfVector)):
         return dist.as_dict()
     if isinstance(dist, np.ndarray):
         return {k: float(p) for k, p in enumerate(dist) if p != 0.0}

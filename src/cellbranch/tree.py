@@ -297,23 +297,18 @@ def simulate_parasite_totals(
     returned (n_runs, n_max+1) series has exactly the law of the full tree's
     per-generation totals.
     """
-    z_law = collapsed_total_law(env)
-    if isinstance(imm.y0, HeavyTailLaw) or isinstance(imm.y1, HeavyTailLaw):
+    z, y = collapsed_total_law(env), imm.y0
+    if isinstance(y, HeavyTailLaw) or isinstance(imm.y1, HeavyTailLaw):
         raise ValueError("total-parasite shortcut needs finite contamination laws")
-    if not _same_law(imm.y0, imm.y1):
+    if not _same_law(y, imm.y1):
         raise ValueError("total-parasite shortcut needs state-independent contamination")
-    y_vals = np.asarray(imm.y0.values, dtype=np.int64)
-    y_probs = np.asarray(imm.y0.probs, dtype=float)
-    z_vals = np.asarray(z_law.values, dtype=np.int64)
-    z_probs = np.asarray(z_law.probs, dtype=float)
-
     totals = np.empty((n_runs, n_max + 1), dtype=np.int64)
     current = start_lanes(k0, n_runs)
     totals[:, 0] = current
     for g in range(1, n_max + 1):
-        offspring = capped_sum(multinomial_counts(rng, current, z_probs), z_vals, current)
-        arrivals_n = np.full(n_runs, 2**g, dtype=np.int64)
-        arrivals = capped_sum(multinomial_counts(rng, arrivals_n, y_probs), y_vals, arrivals_n)
+        offspring = capped_sum(multinomial_counts(rng, current, z._probs_arr), z._vals_arr, current)
+        cells = np.full(n_runs, 2**g, dtype=np.int64)
+        arrivals = capped_sum(multinomial_counts(rng, cells, y._probs_arr), y._vals_arr, cells)
         current = np.minimum(offspring + arrivals, BATCH_STATE_CAP)
         totals[:, g] = current
     return totals

@@ -252,8 +252,13 @@ class TestCli:
             ({"kind": "tree", "n": 3, "replicates": 0}, "replicates"),
             ({"kind": "tree", "n": 3, "replicates": -2}, "replicates"),
             ({"kind": "oracle", "K": 16, "n": 10, "quantities": ["pmf", "nope"]}, "'nope'"),
+            ({"kind": "oracle", "K": 16, "n": 10, "cap": 0, "quantities": ["pmf", "renewal"]},
+             "cap must be at least 1"),
+            ({"kind": "oracle", "K": 16, "n": 10, "cap": -1, "quantities": ["pmf", "renewal"]},
+             "cap must be at least 1"),
         ],
-        ids=["lineage-0", "lineage-neg", "no-checkpoints", "tree-0", "tree-neg", "quantity"],
+        ids=["lineage-0", "lineage-neg", "no-checkpoints", "tree-0", "tree-neg", "quantity",
+             "cap-0", "cap-neg"],
     )
     def test_config_asking_for_nothing_exits_two(self, tmp_path, capsys, experiment, message):
         cfg = write_config(tmp_path, {"model": BASE_MODEL, "experiment": experiment})

@@ -110,6 +110,39 @@ class TestClusterSplit:
             assert joint[(b, a)] == pytest.approx(prob, abs=1e-12)
 
 
+class TestDerivedLaws:
+    """Marginals, brood totals and realized marginals merge repeated atoms."""
+
+    def test_total_and_marginals_merge_repeated_values(self):
+        law = BivariateOffspringLaw((((0, 2), 0.25), ((1, 1), 0.5), ((2, 0), 0.25)))
+        assert law.total_law() == FiniteLaw.delta(2)
+        assert law.marginal(0) == law.marginal(1) == FiniteLaw((0, 1, 2), (0.25, 0.5, 0.25))
+
+    def test_marginal_merges_within_a_side(self):
+        law = BivariateOffspringLaw((((0, 1), 0.25), ((0, 2), 0.25), ((3, 1), 0.5)))
+        assert law.marginal(0) == FiniteLaw((0, 3), (0.5, 0.5))
+        assert law.marginal(1) == FiniteLaw((1, 2), (0.75, 0.25))
+        assert law.total_law() == FiniteLaw((1, 2, 4), (0.25, 0.25, 0.5))
+
+    def test_realized_marginals_merge_the_two_sides(self):
+        env = build_binomial_split(FiniteLaw.delta(2), [(0.5, 1.0)])
+        assert env.realized_marginals() == [(FiniteLaw((0, 1, 2), (0.25, 0.5, 0.25)), 1.0)]
+
+    def test_realized_marginals_merge_across_components(self):
+        # side 0 at p = 1/4 is side 1 at p = 3/4, and the other way round
+        env = build_binomial_split(FiniteLaw.delta(2), [(0.25, 0.5), (0.75, 0.5)])
+        assert env.realized_marginals() == [
+            (FiniteLaw((0, 1, 2), (0.5625, 0.375, 0.0625)), 0.5),
+            (FiniteLaw((0, 1, 2), (0.0625, 0.375, 0.5625)), 0.5),
+        ]
+
+    def test_realized_marginals_merge_only_equal_laws(self):
+        # 1 - 0.7 is not 0.3 in floating point, so the mirrored marginals differ
+        # in their last bits and stay apart
+        env = build_binomial_split(FiniteLaw.delta(2), [(0.3, 0.5), (0.7, 0.5)])
+        assert [w for _, w in env.realized_marginals()] == [0.25] * 4
+
+
 class TestMixedLogMean:
     def test_critical_value(self):
         env = build_binomial_split(FiniteLaw.delta(2), [(0.5, 1.0)])
@@ -261,7 +294,7 @@ class TestHeavyTail:
         rng = np.random.default_rng(3)
         draws = law.sample_many(rng, 100_000)
         assert abs(np.mean(draws == 0) - 0.5) < 0.006
-        assert abs(np.mean(draws == 1) - law.pmf(1)) < 0.006
+        assert abs(np.mean(draws == 1) - law.pmf_array(2)[0][1]) < 0.006
 
     def test_tail_draws_are_large(self):
         law = HeavyTailLaw()
@@ -281,6 +314,12 @@ class TestImmigrationPair:
 
     def test_zero_pair_accepted(self):
         assert ImmigrationPair.zero().is_zero_pair
+
+    @pytest.mark.parametrize("heavy_side", [0, 1])
+    def test_heavy_tail_side_is_not_zero(self, heavy_side):
+        laws = [FiniteLaw.delta(0), FiniteLaw.delta(0)]
+        laws[heavy_side] = HeavyTailLaw()
+        assert not ImmigrationPair(*laws, require_contamination_condition=False).is_zero_pair
 
     def test_always_contaminating_rejected(self):
         with pytest.raises(InvalidContamination):

@@ -106,6 +106,10 @@ class TestSimulatePath:
         traj = simulate_path(9, 0, *sub_binom(), rng)
         assert list(traj.states) == [9]
 
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            simulate_path(1, -1, *sub_binom(), np.random.default_rng(0))
+
     def test_absorbing_collapse(self):
         rng = np.random.default_rng(4)
         traj = simulate_path(7, 6, dying_env(), ImmigrationPair.zero(), rng)

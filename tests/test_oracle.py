@@ -32,7 +32,6 @@ from cellbranch.oracle import (
 from cellbranch.presets import (
     heavy_tail_contaminated,
     split_environment,
-    uniform_split_environment,
 )
 
 
@@ -190,7 +189,8 @@ class TestBuildKernel:
             (*heavy_tail_contaminated(), 300),
             # every FFT block of heavy-tail rows full, none partial
             (*heavy_tail_contaminated(), 10 * _FFT_BLOCK),
-            (uniform_split_environment(4), ImmigrationPair.zero(), 96),
+            (build_binomial_split(FiniteLaw.delta(4), uniform_grid_p(64)),
+             ImmigrationPair.zero(), 96),
         ],
         ids=["heavy-tail", "heavy-tail-full-blocks", "uniform-grid"],
     )
@@ -285,6 +285,21 @@ class TestNegativeHorizon:
     def test_rejected(self, call):
         kernel = build_kernel(*toy_chain(), 3)
         with pytest.raises(ValueError, match="nonnegative"):
+            call(kernel)
+
+
+class TestExcursionCap:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda kernel: renewal_limit(kernel, cap=0),
+            lambda kernel: stationary_solve(kernel, excursion_cap=0),
+        ],
+        ids=["renewal_limit", "stationary_solve"],
+    )
+    def test_cap_below_one_rejected(self, call):
+        kernel = build_kernel(*toy_chain(), 16)
+        with pytest.raises(ValueError, match="cap must be at least 1"):
             call(kernel)
 
 
