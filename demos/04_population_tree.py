@@ -1,10 +1,11 @@
 """The whole dividing population: infected-cell fractions and proportions.
 
-Runs the binary division tree breadth-first and depth-first, shows the
-recovery dichotomy without contamination (the infected fraction is always
-nonincreasing; whether it vanishes depends on the growth regime), and checks
+Runs the binary division tree as generation ledgers, shows the recovery
+dichotomy without contamination (the infected fraction is always
+nonincreasing; whether it vanishes depends on the growth regime), checks
 that deep-generation proportions of parasite counts land on the cell line's
-stationary law.
+stationary law, and runs critical trees of 2^40 cells against their exact
+infected fraction.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from cellbranch import (
     simulate_tree_bfs,
     simulate_tree_dfs,
     stationary_solve,
+    survival_no_immigration,
     tv_distance,
 )
 from cellbranch.presets import split_environment, subcritical_binomial
@@ -44,10 +46,13 @@ for k in range(4):
     print(f"  {k:>5}   {leaves.frequency(k):>13.4f}   {exact.pmf[k]:>10.4f}")
 print(f"  total variation gap: {tv_distance(leaves, exact.pmf):.4f}")
 
-print("\n== breadth-first and depth-first agree in law ==")
-bfs = simulate_tree_bfs(0, 10, env, imm, rng)[-1]
-dfs = simulate_tree_dfs(0, 10, env, imm, rng)
-gap = tv_distance(
-    EmpiricalMeasure.from_counts(bfs.histogram), EmpiricalMeasure.from_counts(dfs.histogram)
-)
-print(f"  single-tree leaf histograms, total variation: {gap:.4f} (two independent runs)")
+print("\n== critical trees of 2^40 cells, no contamination ==")
+env, depth, n_trees = split_environment(2), 40, 20
+fractions = []
+for _ in range(n_trees):
+    last = simulate_tree_dfs(1, depth, env, ImmigrationPair.zero(), rng)
+    fractions.append(last.infected / last.cells)
+exact = survival_no_immigration(env, 1, depth).upper[depth]
+se = np.std(fractions, ddof=1) / np.sqrt(n_trees)
+print(f"  mean infected fraction at n={depth}: {np.mean(fractions):.4f} +- {se:.4f}"
+      f"   (exact {exact:.4f}, {len(last.values)} ledger rows in the last tree)")

@@ -1,4 +1,4 @@
-"""Vectorized exact sampling primitives shared by the simulators."""
+"""Vectorized exact sampling primitives, and the one row merge, shared by the simulators."""
 
 from __future__ import annotations
 
@@ -35,6 +35,14 @@ def multinomial_counts(
     if probs.shape[-1] == 1:
         return n[:, None]
     return rng.multinomial(n, probs)
+
+
+def merge_rows(ids: np.ndarray, values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Rows (id, value, count) sorted by id, then value, the counts of equal rows summed."""
+    order = np.lexsort((values, ids))
+    ids, values = ids[order], values[order]
+    first = np.flatnonzero(np.diff(ids, prepend=-1) | np.diff(values, prepend=-1))
+    return ids[first], values[first], np.add.reduceat(counts[order], first)
 
 
 def capped_sum(counts: np.ndarray, values: np.ndarray, trials: np.ndarray) -> np.ndarray:

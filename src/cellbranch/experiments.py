@@ -28,7 +28,7 @@ from .oracle import (
     stationary_solve,
 )
 from .runio import write_csv, write_json, write_manifest
-from .tree import _check_depth, _tally, iter_forest_bfs, simulate_tree_bfs, simulate_tree_dfs
+from .tree import _check_depth, simulate_tree_bfs, simulate_tree_dfs
 
 LINEAGE_DOMAIN = 1
 TREE_DOMAIN = 2
@@ -94,26 +94,14 @@ def run_lineage(
 def _tree_block(job) -> list[tuple[int, int, int, int]]:
     env, imm, k0, n_max, traversal, seed, block_index, start_run, count = job
     rng = substream(seed, TREE_DOMAIN, block_index)
-    runs = range(start_run, start_run + count)
-    if traversal == "dfs":
-        ledgers = ((run_id, simulate_tree_dfs(k0, n_max, env, imm, rng)) for run_id in runs)
-    elif imm.is_zero_pair:
-        ledgers = (
-            (run_id, ledger)
-            for run_id in runs
-            for ledger in simulate_tree_bfs(k0, n_max, env, imm, rng)
-        )
-    else:
-        ledgers = (
-            (run_id, _tally(g, row, 2**g))
-            for g, states in iter_forest_bfs(k0, n_max, env, imm, rng, count)
-            for run_id, row in zip(runs, states)
-        )
-    return [
-        (run_id, ledger.n, k, c)
-        for run_id, ledger in ledgers
-        for k, c in zip(ledger.values.tolist(), ledger.counts.tolist())
-    ]
+    rows = []
+    for run_id in range(start_run, start_run + count):
+        if traversal == "dfs":
+            ledgers = [simulate_tree_dfs(k0, n_max, env, imm, rng)]
+        else:
+            ledgers = simulate_tree_bfs(k0, n_max, env, imm, rng)
+        rows += [(run_id, led.n, k, c) for led in ledgers for k, c in led.histogram.items()]
+    return rows
 
 
 def run_tree(
@@ -128,11 +116,14 @@ def run_tree(
 ) -> list[tuple[int, int, int, int]]:
     """Per-run generation ledgers as (run_id, generation, parasite count, cells) rows.
 
-    An unknown traversal, or a depth the traversal cannot run, raises
-    ``ConfigError`` before anything is simulated.
+    ``bfs`` writes every generation and ``dfs`` only generation ``n_max``;
+    both run the same tree.  An unknown traversal, or a depth past the
+    tree's bound, raises ``ConfigError`` before anything is simulated.
     """
+    if traversal not in ("bfs", "dfs"):
+        raise ConfigError(f"unknown traversal {traversal!r} (bfs | dfs)")
     try:
-        _check_depth(n_max, traversal)
+        _check_depth(n_max)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     block_size = max(1, min(64, 2**18 // 2**n_max))

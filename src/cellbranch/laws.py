@@ -296,6 +296,9 @@ class EnvironmentLaw:
         return tuple(law for law, _ in self.components)
 
     def sample_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Component of each of ``size`` cells; one component draws nothing."""
+        if len(self.components) == 1:
+            return np.zeros(size, dtype=np.intp)
         return np.minimum(
             np.searchsorted(self._cum, rng.random(size), side="right"), len(self.components) - 1
         )

@@ -30,7 +30,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from ._sampling import BATCH_STATE_CAP, divide, start_lanes
+from ._sampling import BATCH_STATE_CAP, divide, merge_rows, start_lanes
 from .laws import (
     DegenerateMarginal,
     EnvironmentLaw,
@@ -94,19 +94,6 @@ def simulate_path(
     return LineageTrajectory(states=states, saturated=bool(states.max() >= BATCH_STATE_CAP))
 
 
-def _merge_visits(
-    seen: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pool (excursion id, state, visits) arrays, summing repeated (id, state) pairs."""
-    ids, states, visits = (np.concatenate(column) for column in zip(*seen))
-    order = np.lexsort((states, ids))
-    ids, states, visits = ids[order], states[order], visits[order]
-    first = np.ones(len(ids), dtype=bool)
-    first[1:] = (ids[1:] != ids[:-1]) | (states[1:] != states[:-1])
-    starts = np.flatnonzero(first)
-    return ids[starts], states[starts], np.add.reduceat(visits, starts)
-
-
 def _excursions(
     k0: int, env: EnvironmentLaw, imm: ImmigrationPair, rng: np.random.Generator, n: int, cap: int
 ) -> tuple[np.ndarray, np.ndarray, dict[int, int]]:
@@ -138,9 +125,9 @@ def _excursions(
             ids, states = ids[~back], states[~back]
             seen.append((ids, states, np.ones_like(ids)))
             if len(seen) > _MERGE_STEPS:
-                seen = [_merge_visits(seen)]
+                seen = [merge_rows(*map(np.concatenate, zip(*seen)))]
         capped[ids] = True
-        lane_ids, lane_states, lane_visits = _merge_visits(seen)
+        lane_ids, lane_states, lane_visits = merge_rows(*map(np.concatenate, zip(*seen)))
         kept = ~capped[lane_ids]
         values, inverse = np.unique(lane_states[kept], return_inverse=True)
         counts = np.bincount(inverse, weights=lane_visits[kept], minlength=len(values))

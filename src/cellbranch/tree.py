@@ -5,26 +5,17 @@ parasites draws one offspring mechanism from the environment, its x parasites
 reproduce through that mechanism's joint law (child goes to daughter 0 or
 daughter 1), and each daughter independently receives contamination: from the
 state-zero law when the mother was parasite-free, from the infected-state law
-otherwise.  ``advance_generation`` draws that division through
-``_sampling.divide``; the random cell line takes the same division and
-keeps one daughter.  A binomially split environment draws the brood total T
-of the cell's x parasites (the sum of x iid Z), then s0 ~ Bin(T, p) with the
-cell's own p and s1 = T - s0, for all cells at once; other environments
-draw every cell from the environment's one table of joint pair atoms, by
-one multinomial over the row of the cell's component.
+otherwise.  ``advance_generation`` draws that division cell by cell through
+``_sampling.divide``, which the random cell line shares.
 
-Two traversals cover the practical depth range.  The breadth-first simulator
-advances whole generations as arrays and keeps a ledger per generation; runs
-with zero contamination track only infected cells (parasite-free cells stay
-parasite-free forever, exactly).  The depth-first simulator walks the tree
-in blocks of at most 2^16 sibling cells, each advanced by the same
-generation step, so it holds O(depth * 2^16) cells and tallies only the
-target generation.  ``_check_depth`` is the one bound on both: at most 22
-generations breadth-first and 30 depth-first.
-
-A ledger stores a generation as the distinct parasite counts and the number
-of cells holding each, two int64 arrays straight from ``np.unique``; every
-ledger from cell states is tallied by ``_tally``.
+The cells of a generation are independent given their mothers' counts (a
+bifurcating Markov chain), so a generation's ledger, the distinct counts and
+the number of cells holding each, is all the state a tree needs.
+``iter_forest_bfs`` is the one engine: it advances many trees as ledger rows
+(run, value, count), and ``simulate_tree_bfs`` and ``simulate_tree_dfs`` are
+one-tree views that keep every ledger or only the last.  A tree is at most
+62 generations deep (cell counts are int64), and a generation that would
+draw more than ``_ROW_BUDGET`` rows raises ``DepthTooLarge``.
 
 The total parasite count across a generation is itself a Markov chain
 whenever each parasite's total brood size has the same law in every realized
@@ -42,34 +33,29 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._sampling import BATCH_STATE_CAP, capped_sum, divide, multinomial_counts, start_lanes
-from .laws import (
-    EnvironmentLaw,
-    FiniteLaw,
-    HeavyTailLaw,
-    ImmigrationPair,
+from ._sampling import (
+    BATCH_STATE_CAP, capped_sum, divide, merge_rows, multinomial_counts, start_lanes,
 )
+from .laws import EnvironmentLaw, FiniteLaw, HeavyTailLaw, ImmigrationPair
 from .stats import EmptySeries
 
-# deepest generation each traversal runs to
-_DEPTH_LIMITS = {"bfs": 22, "dfs": 30}
+# a generation's 2^n cells are counted in int64
+_MAX_DEPTH = 62
 
-# largest block of sibling cells the depth-first walk advances in one pass
-_BLOCK_CELLS = 2**16
+# draws one generation may make: each cell divided on its own, and each
+# category of a pair table drawn as one multinomial
+_ROW_BUDGET = 2**22
 
 
 class DepthTooLarge(ValueError):
-    """Requested tree depth exceeds the traversal's bound."""
+    """Requested tree depth, or one generation's draws, exceeds the tree's bound."""
 
 
-def _check_depth(n: int, traversal: str) -> None:
-    bound = _DEPTH_LIMITS.get(traversal)
-    if bound is None:
-        raise ValueError(f"unknown traversal {traversal!r} (bfs | dfs)")
+def _check_depth(n: int) -> None:
     if n < 0:
         raise ValueError(f"depth {n} must be nonnegative")
-    if n > bound:
-        raise DepthTooLarge(f"depth {n} exceeds the {traversal} bound {bound}")
+    if n > _MAX_DEPTH:
+        raise DepthTooLarge(f"depth {n} exceeds the bound {_MAX_DEPTH}: cell counts are int64")
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,23 +98,8 @@ class GenerationLedger:
         return dict(zip(self.values.tolist(), self.counts.tolist()))
 
 
-def _tally(n: int, states: np.ndarray, cells: int) -> GenerationLedger:
-    """Ledger of generation n, whose ``cells`` cells hold ``states``.
-
-    A contamination-free run keeps only its infected cells, so the
-    ``cells - len(states)`` cells missing from ``states`` are parasite-free.
-    """
-    values, counts = np.unique(states, return_counts=True)
-    if cells > states.size:
-        values = np.concatenate(([0], values))
-        counts = np.concatenate(([cells - states.size], counts))
-    return GenerationLedger(n, values, counts)
-
-
 def advance_generation(
-    cells: Sequence[int] | np.ndarray,
-    env: EnvironmentLaw,
-    imm: ImmigrationPair,
+    cells: Sequence[int] | np.ndarray, env: EnvironmentLaw, imm: ImmigrationPair,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """One division round: returns the daughter states, two per input cell.
@@ -142,83 +113,123 @@ def advance_generation(
     return divide(states, env, env.sample_indices(rng, states.size), imm, rng).T.ravel()
 
 
-def simulate_tree_bfs(
-    k0: int,
-    n_max: int,
-    env: EnvironmentLaw,
-    imm: ImmigrationPair,
-    rng: np.random.Generator,
-) -> list[GenerationLedger]:
-    """Breadth-first population run; one ledger per generation 0..n_max."""
-    _check_depth(n_max, "bfs")
-    states = start_lanes(k0, 1)
-    ledgers = []
-    for g in range(n_max + 1):
-        if g > 0 and states.size:
-            states = advance_generation(states, env, imm, rng)
-        if imm.is_zero_pair:
-            # parasite-free cells stay parasite-free: carry only infected ones
-            states = states[states > 0]
-        ledgers.append(_tally(g, states, 2**g))
-    return ledgers
+def _binomial_brood(env: EnvironmentLaw) -> tuple[int, float] | None:
+    """(z, p) when a cell's v parasites split between its daughters as Bin(vz, p).
+
+    That is the dying environment (z = 0) and a one-component binomial split
+    of a one-atom brood z with 0 < p < 1; any other environment gives None.
+    """
+    if not env._atoms[0].any():
+        return 0, 0.5
+    split = env._split
+    if split is None or len(split[1]) > 1 or len(split[0].values) > 1:
+        return None
+    return (split[0].values[0], float(split[1][0])) if 0 < split[1][0] < 1 else None
+
+
+def _pair_counts(n: np.ndarray, c: np.ndarray, p: float, rng) -> list[np.ndarray]:
+    """(row i, s0, pairs) for each s0 that some of c[i] pairs with s0 ~ Bin(n[i], p) took.
+
+    Each row is one multinomial over its pmf.  Rows whose widths n + 1 are
+    within a factor two share one zero-padded table, so a table holds at
+    most twice the atoms it draws.
+    """
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n.max() + 1)))))
+    level = np.frexp(n + 1.0)[1]
+    parts = []
+    for b in np.unique(level):
+        rows = np.flatnonzero(level == b)
+        top = n[rows, None]
+        k = np.arange(top.max() + 1)
+        j = np.minimum(k, top)
+        log_pmf = log_fact[top] - log_fact[j] - log_fact[top - j]
+        pmf = np.exp(log_pmf + j * math.log(p) + (top - j) * math.log1p(-p)) * (k <= top)
+        draws = multinomial_counts(rng, c[rows], pmf / pmf.sum(axis=1, keepdims=True))
+        i, s0 = np.nonzero(draws)
+        parts.append((rows[i], s0, draws[i, s0]))
+    return [np.concatenate(x) for x in zip(*parts)]
+
+
+def _next_generation(runs, values, counts, brood, env, imm, rng) -> tuple[np.ndarray, ...]:
+    """Ledger rows of every tree's next generation, from the rows of this one."""
+    z, p = brood or (0, 0.5)  # with no brood, only Q_0 = (0, 0) is known
+    finite = not any(isinstance(y, HeavyTailLaw) for y in (imm.y0, imm.y1))
+    # c > vz + 1 atoms, compared in float so that vz cannot wrap
+    multi = finite & ((values == 0) | (brood is not None)) & (counts > values * float(z) + 1)
+    alone, n = ~multi, values[multi] * z
+    drawn = int(counts[alone].sum()) + int(n.sum()) + n.size
+    if drawn > _ROW_BUDGET:
+        raise DepthTooLarge(f"a generation would draw {drawn} rows, over the budget {_ROW_BUDGET}")
+    cells = np.repeat(values[alone], counts[alone])
+    cells = advance_generation(cells, env, imm, rng) if cells.size else cells
+    bulk = [(values[:0],) * 3]  # (run, value, count) of the daughters drawn in bulk
+    if multi.any():
+        row, s0, pairs = _pair_counts(n, counts[multi], p, rng)
+        pre = np.concatenate((s0, n[row] - s0))  # daughter 0's rows, then daughter 1's
+        row, pairs = np.concatenate((row, row)), np.concatenate((pairs, pairs))
+        free = values[multi][row] == 0
+        for mask, law in ((free, imm.y0), (~free, imm.y1)):
+            draws = multinomial_counts(rng, pairs[mask], law._probs_arr)
+            i, j = np.nonzero(draws)
+            daughters = np.minimum(pre[mask][i] + law._vals_arr[j], BATCH_STATE_CAP)
+            bulk.append((runs[multi][row[mask][i]], daughters, draws[i, j]))
+    if runs[-1] > 0:  # many trees: the cells divided one by one join the rows to merge
+        bulk.append((np.repeat(runs[alone], 2 * counts[alone]), cells, np.ones_like(cells)))
+        return merge_rows(*map(np.concatenate, zip(*bulk)))
+    _, bulk_values, bulk_counts = map(np.concatenate, zip(*bulk))
+    cells = np.concatenate((cells, bulk_values))  # one tree: one np.unique sorts it fastest
+    values, counts = np.unique(cells, return_counts=True)
+    np.add.at(counts, np.searchsorted(values, bulk_values), bulk_counts - 1)
+    return np.zeros(values.size, np.int64), values, counts
 
 
 def iter_forest_bfs(
-    k0: int,
-    n_max: int,
-    env: EnvironmentLaw,
-    imm: ImmigrationPair,
-    rng: np.random.Generator,
+    k0: int, n_max: int, env: EnvironmentLaw, imm: ImmigrationPair, rng: np.random.Generator,
     n_runs: int,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Advance n_runs independent trees together, one flat array per generation.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Advance n_runs independent trees together as ledger rows, one generation at a time.
 
-    Yields (generation, states matrix of shape (n_runs, 2**generation)).
-    Cells of independent runs are interleaved into a single vector pass, which
-    is what makes many-replicate experiments affordable.
+    Yields (generation, runs, values, counts): run r holds counts[i] cells
+    with values[i] parasites where runs[i] == r, sorted by run, then value.
+    A row of c cells at value v whose daughters' pair law Q_v is known in
+    closed form (v = 0 anywhere; every v in ``_binomial_brood``'s cases)
+    and has fewer than c atoms draws its c pairs as one multinomial over
+    Q_v, and the daughters on each side draw contamination as one
+    multinomial per pre-contamination count when both laws are finite.
+    Every other row is divided cell by cell through ``advance_generation``.
     """
-    _check_depth(n_max, "bfs")
-    states = start_lanes(k0, n_runs)
-    yield 0, states.reshape(n_runs, 1)
+    _check_depth(n_max)
+    if n_runs < 1:
+        raise ValueError(f"need at least one run, got {n_runs}")
+    runs, values, counts = np.arange(n_runs), start_lanes(k0, n_runs), np.ones(n_runs, np.int64)
+    yield 0, runs, values, counts
+    brood = _binomial_brood(env)
     for g in range(1, n_max + 1):
-        states = advance_generation(states, env, imm, rng)
-        yield g, states.reshape(n_runs, 2**g)
+        runs, values, counts = _next_generation(runs, values, counts, brood, env, imm, rng)
+        yield g, runs, values, counts
+
+
+def simulate_tree_bfs(
+    k0: int, n_max: int, env: EnvironmentLaw, imm: ImmigrationPair, rng: np.random.Generator
+) -> list[GenerationLedger]:
+    """One tree breadth-first: the ledger of every generation 0..n_max."""
+    return [
+        GenerationLedger(g, values, counts)
+        for g, _, values, counts in iter_forest_bfs(k0, n_max, env, imm, rng, 1)
+    ]
 
 
 def simulate_tree_dfs(
-    k0: int,
-    n_target: int,
-    env: EnvironmentLaw,
-    imm: ImmigrationPair,
-    rng: np.random.Generator,
+    k0: int, n_target: int, env: EnvironmentLaw, imm: ImmigrationPair, rng: np.random.Generator,
     accumulator: dict[int, int] | None = None,
 ) -> GenerationLedger:
-    """Depth-first run over breadth-first blocks, tallying only the target generation.
+    """One tree, keeping only the ledger of generation n_target.
 
-    Blocks of sibling cells are advanced a generation at a time; a block whose
-    next generation would exceed ``_BLOCK_CELLS`` is split in half first, so
-    memory stays O(depth * 2^16) cells.  Every cell's daughters are drawn
-    independently, so the leaf histogram has the breadth-first simulator's
-    law.  When ``accumulator`` is given, the leaf counts are also merged into
+    When ``accumulator`` is given, the ledger's counts are also merged into
     it so replicate trees can share a tally.
     """
-    _check_depth(n_target, "dfs")
-    leaves: list[tuple[np.ndarray, np.ndarray]] = []
-    stack = [(0, start_lanes(k0, 1))]
-    while stack:
-        depth, states = stack.pop()
-        if depth == n_target:
-            leaves.append(np.unique(states, return_counts=True))
-        elif 2 * states.size > _BLOCK_CELLS:
-            half = states.size // 2
-            stack.append((depth, states[half:]))
-            stack.append((depth, states[:half]))
-        else:
-            stack.append((depth + 1, advance_generation(states, env, imm, rng)))
-    leaf_values, leaf_counts = zip(*leaves)
-    values, where = np.unique(np.concatenate(leaf_values), return_inverse=True)
-    counts = np.zeros(values.size, dtype=np.int64)
-    np.add.at(counts, where, np.concatenate(leaf_counts))
+    for _, _, values, counts in iter_forest_bfs(k0, n_target, env, imm, rng, 1):
+        pass
     if accumulator is not None:
         for k, c in zip(values.tolist(), counts.tolist()):
             accumulator[k] = accumulator.get(k, 0) + c

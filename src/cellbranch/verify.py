@@ -145,13 +145,12 @@ def check_stationary_tree(seed: int = DEFAULT_SEED) -> Iterator[_Verdict]:
         yield f"stationary-tree/{pair}", tv < 0.05, f"TV = {tv:.4f}", "< 0.05"
 
     exact8 = propagate(kernel, 0, 8)
-    per_tree: dict[int, np.ndarray] = {}
     n_trees = 200
-    for g, states in iter_forest_bfs(0, 8, env, imm, _rng(seed, 32), n_trees):
-        if g == 8:
-            for k in range(len(exact8.probs)):
-                if exact8.probs[k] > 1e-4:
-                    per_tree[k] = (states == k).mean(axis=1)
+    *_, (_, runs, values, counts) = iter_forest_bfs(0, 8, env, imm, _rng(seed, 32), n_trees)
+    per_tree = {
+        k: np.bincount(runs, counts * (values == k), minlength=n_trees) / 2**8
+        for k in np.flatnonzero(exact8.probs > 1e-4)
+    }
     worst = 0.0
     ok = True
     for k, fractions in per_tree.items():
@@ -419,9 +418,9 @@ def check_clt_stabilization(seed: int = DEFAULT_SEED) -> Iterator[_Verdict]:
     samples: dict[int, list[float]] = {n: [] for n in checkpoints}
     for b in range(n_runs // block):
         rng = _rng(seed, 90 + b)
-        cum_zero = np.zeros(block, dtype=np.int64)
-        for g, states in iter_forest_bfs(0, 16, env, imm, rng, block):
-            cum_zero += (states == 0).sum(axis=1)
+        cum_zero = np.zeros(block)
+        for g, runs, values, counts in iter_forest_bfs(0, 16, env, imm, rng, block):
+            cum_zero += np.bincount(runs, counts * (values == 0), minlength=block)
             if g in checkpoints:
                 samples[g].extend((cum_zero / 2 ** (g + 1)).tolist())
     report = sqrtn_stabilization({n: samples[n] for n in checkpoints}, f0)

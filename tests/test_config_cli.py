@@ -231,7 +231,7 @@ class TestCli:
             assert main(["tree", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
         assert "nonnegative" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("traversal, n", [("bfs", 23), ("dfs", 31)])
+    @pytest.mark.parametrize("traversal, n", [("bfs", 63), ("dfs", 63)])
     def test_tree_depth_past_traversal_bound_exits_two(
         self, tmp_path, capsys, deadline, traversal, n
     ):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cellbranch import tree
 from cellbranch._sampling import BATCH_STATE_CAP, multinomial_counts
+from cellbranch.config import ConfigError
 from cellbranch.experiments import TREE_DOMAIN, run_tree, substream
 from cellbranch.laws import (
     BivariateOffspringLaw,
@@ -17,12 +19,14 @@ from cellbranch.laws import (
     build_cluster_split,
 )
 from cellbranch.lineage import batch_step
-from cellbranch.oracle import build_kernel, propagate, stationary_solve
+from cellbranch.oracle import build_kernel, propagate, stationary_solve, survival_no_immigration
 from cellbranch.presets import split_environment, subcritical_binomial
 from cellbranch.stats import EmptySeries, EmpiricalMeasure, tv_distance
 from cellbranch.tree import (
     DepthTooLarge,
-    _tally,
+    GenerationLedger,
+    _binomial_brood,
+    _next_generation,
     advance_generation,
     collapsed_total_law,
     growth_exponent,
@@ -268,10 +272,10 @@ class TestBfs:
         rng = np.random.default_rng(3)
         freqs: dict[int, list] = {}
         n_trees = 200
-        for g, states in iter_forest_bfs(0, 6, env, imm, rng, n_trees):
+        for g, runs, values, counts in iter_forest_bfs(0, 6, env, imm, rng, n_trees):
             if g == 6:
                 for k in range(4):
-                    freqs[k] = (states == k).mean(axis=1)
+                    freqs[k] = np.bincount(runs, counts * (values == k), minlength=n_trees) / 2**g
         for k, per_tree in freqs.items():
             se = per_tree.std(ddof=1) / math.sqrt(n_trees)
             assert abs(per_tree.mean() - exact.probs[k]) < 3 * se + 1e-9
@@ -279,7 +283,7 @@ class TestBfs:
     def test_depth_bound(self):
         rng = np.random.default_rng(4)
         with pytest.raises(DepthTooLarge):
-            simulate_tree_bfs(0, 23, sub_env(), toy_imm(), rng)
+            simulate_tree_bfs(0, 63, sub_env(), toy_imm(), rng)
 
 
 class TestDfs:
@@ -328,15 +332,16 @@ class TestDfs:
     def test_depth_bound(self):
         rng = np.random.default_rng(9)
         with pytest.raises(DepthTooLarge):
-            simulate_tree_dfs(0, 31, sub_env(), toy_imm(), rng)
+            simulate_tree_dfs(0, 63, sub_env(), toy_imm(), rng)
 
     def test_split_blocks_past_block_size(self):
+        # 2^40 cells at depth 40, held as a handful of ledger rows
         env, imm = subcritical_binomial()
         rng = np.random.default_rng(10)
         acc: dict[int, int] = {}
-        led = simulate_tree_dfs(0, 17, env, imm, rng, accumulator=acc)
-        assert led.cells == 2**17
-        assert sum(acc.values()) == 2**17
+        led = simulate_tree_dfs(0, 40, env, imm, rng, accumulator=acc)
+        assert led.cells == 2**40
+        assert sum(acc.values()) == 2**40
         assert acc == led.histogram
         exact = stationary_solve(build_kernel(env, imm, 512)).pmf
         assert tv_distance(EmpiricalMeasure.from_counts(acc), exact) < 0.02
@@ -390,18 +395,22 @@ class TestParasiteTotals:
         assert (totals[:, 1:] == BATCH_STATE_CAP).all()
 
     def test_totals_chain_matches_real_trees(self):
+        # both against the exact law of T_3, where T_g = 4 T_{g-1} + Bin(2^g, 1/2), T_0 = 0
+        exact = np.array([1.0])
+        for g in range(1, 4):
+            grown = np.zeros(4 * (exact.size - 1) + 1)
+            grown[::4] = exact
+            exact = np.convolve(grown, [math.comb(2**g, k) / 2 ** 2**g for k in range(2**g + 1)])
+        assert np.count_nonzero(exact) == 57 and exact @ np.arange(exact.size) == pytest.approx(28)
         env, imm = self.gw_setup(4)
         rng = np.random.default_rng(11)
         forest_totals = None
-        for g, states in iter_forest_bfs(0, 3, env, imm, rng, 20_000):
+        for g, runs, values, counts in iter_forest_bfs(0, 3, env, imm, rng, 20_000):
             if g == 3:
-                forest_totals = states.sum(axis=1)
+                forest_totals = np.bincount(runs, values * counts, minlength=20_000)
         chain_totals = simulate_parasite_totals(env, imm, 0, 3, np.random.default_rng(12), 20_000)
-        tv = tv_distance(
-            EmpiricalMeasure.from_samples(forest_totals),
-            EmpiricalMeasure.from_samples(chain_totals[:, 3]),
-        )
-        assert tv < 0.03
+        for totals in (forest_totals, chain_totals[:, 3]):
+            assert tv_distance(EmpiricalMeasure.from_samples(totals.astype(np.int64)), exact) < 0.03
         assert abs(forest_totals.mean() - chain_totals[:, 3].mean()) < 1.5
 
     def test_parasites_total_is_python_int(self):
@@ -472,7 +481,7 @@ class TestGrowthExponent:
 class TestLedgerTally:
     def test_totals_come_from_the_states(self):
         states = np.random.default_rng(16).integers(0, 7, size=500)
-        led = _tally(9, states, len(states))
+        led = GenerationLedger(9, *np.unique(states, return_counts=True))
         assert list(led.values) == sorted(set(states.tolist()))
         assert led.histogram == {v: int((states == v).sum()) for v in set(states.tolist())}
         assert led.cells == len(states)
@@ -492,9 +501,95 @@ class TestLedgerTally:
 
     def test_total_past_int64_is_exact(self):
         # 2^53 * 2^11 = 2^64 wraps to 0 in an int64 dot product
-        led = _tally(11, np.full(2**11, BATCH_STATE_CAP, dtype=np.int64), 2**11)
+        led = GenerationLedger(11, np.array([BATCH_STATE_CAP]), np.array([2**11]))
         assert led.parasites_total == 2**64
         assert led.infected == 2**11
+
+
+class TestLedgerEngine:
+    """The forest advanced as (run, value, count) rows."""
+
+    @staticmethod
+    def exact_daughters(p):
+        # rows (0, c) and (3, c) of a brood-2 split: daughters of the free mothers get Y0;
+        # the others hold Bin(6, p) or Bin(6, 1 - p), then Y1
+        y0, y1 = np.array([0.5, 0.5]), np.array([0.5, 0.3, 0.2])
+        sides = [np.array([math.comb(6, k) * q**k * (1 - q) ** (6 - k) for k in range(7)])
+                 for q in (p, 1 - p)]
+        infected = np.convolve((sides[0] + sides[1]) / 2, y1)
+        return np.concatenate((y0, np.zeros(infected.size - 2))) / 2 + infected / 2
+
+    def test_multinomial_and_per_cell_rows_match_the_pair_law(self):
+        env = build_binomial_split(FiniteLaw.delta(2), [(0.3, 1.0)])
+        imm = ImmigrationPair(FiniteLaw.bernoulli(0.5), FiniteLaw((0, 1, 2), (0.5, 0.3, 0.2)))
+        exact = self.exact_daughters(0.3)
+        rng = np.random.default_rng(20)
+        c = 20_000
+        brood = _binomial_brood(env)
+        assert brood == (2, 0.3)
+        rows = (np.zeros(2, dtype=np.int64), np.array([0, 3]), np.array([c, c]))
+        _, values, counts = _next_generation(*rows, brood, env, imm, rng)
+        bulk = EmpiricalMeasure.from_counts(dict(zip(values.tolist(), counts.tolist())))
+        assert counts.sum() == 4 * c
+        cells = advance_generation(np.repeat([0, 3], c), env, imm, rng)
+        for measure in (bulk, EmpiricalMeasure.from_samples(cells)):
+            assert tv_distance(measure, exact) < 0.01
+
+    def test_rows_drawn_in_bulk_only_past_the_support(self):
+        # a row of 7 cells at v = 3 meets Bin(6, p)'s 7 atoms: divided cell by cell
+        env = split_environment(2)
+        brood = _binomial_brood(env)
+        rows = (np.zeros(2, dtype=np.int64), np.array([0, 3]), np.array([2, 7]))
+        rng, twin = np.random.default_rng(21), np.random.default_rng(21)
+        _next_generation(*rows, brood, env, ImmigrationPair.zero(), rng)
+        advance_generation(np.full(7, 3), env, ImmigrationPair.zero(), twin)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert _binomial_brood(_split_env()) is None and _binomial_brood(dying_env()) == (0, 0.5)
+
+    def test_critical_trees_at_depth_forty(self):
+        env, zero, n_trees, depth = split_environment(2), ImmigrationPair.zero(), 20, 40
+        rng = np.random.default_rng(22)
+        for g, runs, values, counts in iter_forest_bfs(1, depth, env, zero, rng, n_trees):
+            assert np.all(np.diff(runs * 2**53 + values) > 0)  # sorted by run, then value
+            assert (np.bincount(runs, counts, minlength=n_trees) == 2.0**g).all()
+        infected = np.bincount(runs[values > 0], counts[values > 0], minlength=n_trees) / 2**depth
+        exact = survival_no_immigration(env, 1, depth).upper[depth]
+        assert exact == pytest.approx(0.0858, abs=1e-4)
+        se = infected.std(ddof=1) / math.sqrt(n_trees)
+        assert abs(infected.mean() - exact) < 3 * se
+
+    def test_depth_past_int64_raises_before_any_draw(self):
+        rng = np.random.default_rng(23)
+        before = rng.bit_generator.state
+        for run in (
+            lambda: simulate_tree_bfs(1, 63, sub_env(), toy_imm(), rng),
+            lambda: simulate_tree_dfs(1, 63, sub_env(), toy_imm(), rng),
+            lambda: next(iter_forest_bfs(1, 63, sub_env(), toy_imm(), rng, 2)),
+        ):
+            with pytest.raises(DepthTooLarge, match="bound 62"):
+                run()
+        assert rng.bit_generator.state == before
+
+    def test_empty_forest_rejected(self):
+        with pytest.raises(ValueError, match="at least one run"):
+            next(iter_forest_bfs(1, 3, sub_env(), toy_imm(), np.random.default_rng(26), 0))
+
+    def test_generation_over_the_row_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(tree, "_ROW_BUDGET", 2**10)
+        rng = np.random.default_rng(24)
+        with pytest.raises(DepthTooLarge, match="budget"):
+            simulate_tree_bfs(1, 20, split_environment(4), ImmigrationPair.zero(), rng)
+
+    def test_many_runs_with_values_near_the_cap(self):
+        # 1024 runs times 2^53 + 1 values pass int64: the rows sort on value ranks
+        env = EnvironmentLaw(((BivariateOffspringLaw.delta(1, 0), 1.0),))
+        rng = np.random.default_rng(25)
+        *_, (g, runs, values, counts) = iter_forest_bfs(
+            BATCH_STATE_CAP, 2, env, ImmigrationPair.zero(), rng, 1024
+        )
+        assert list(runs) == list(np.repeat(np.arange(1024), 2))
+        assert list(values) == [0, BATCH_STATE_CAP] * 1024
+        assert list(counts) == [3, 1] * 1024
 
 
 def coin_imm():
@@ -543,20 +638,13 @@ class TestRunTree:
         rows = []
         for block, start in enumerate(range(0, replicates, self.BLOCK)):
             rng = substream(seed, TREE_DOMAIN, block)
-            runs = range(start, min(start + self.BLOCK, replicates))
-            if traversal == "dfs":
-                for run_id in runs:
-                    led = simulate_tree_dfs(k0, n_max, env, imm, rng)
-                    rows += [(run_id, n_max, k, c) for k, c in led.histogram.items()]
-            elif imm.is_zero_pair:
-                for run_id in runs:
-                    for led in simulate_tree_bfs(k0, n_max, env, imm, rng):
-                        rows += [(run_id, led.n, k, c) for k, c in led.histogram.items()]
-            else:
-                for g, states in iter_forest_bfs(k0, n_max, env, imm, rng, len(runs)):
-                    for run_id, row in zip(runs, states):
-                        vals, cnts = np.unique(row, return_counts=True)
-                        rows += [(run_id, g, int(v), int(c)) for v, c in zip(vals, cnts)]
+            for run_id in range(start, min(start + self.BLOCK, replicates)):
+                if traversal == "dfs":
+                    ledgers = [simulate_tree_dfs(k0, n_max, env, imm, rng)]
+                else:
+                    ledgers = simulate_tree_bfs(k0, n_max, env, imm, rng)
+                for led in ledgers:
+                    rows += [(run_id, led.n, k, c) for k, c in led.histogram.items()]
         return sorted(rows)
 
     @pytest.mark.parametrize(
@@ -574,3 +662,7 @@ class TestRunTree:
         generations = [n_max] if traversal == "dfs" else range(n_max + 1)
         assert groups == {(r, n): 2**n for r in range(replicates) for n in generations}
         assert rows == self.expected_rows(env, imm, k0, n_max, replicates, seed, traversal)
+
+    def test_unknown_traversal_rejected(self):
+        with pytest.raises(ConfigError, match="unknown traversal"):
+            run_tree(sub_env(), coin_imm(), 1, 3, 2, 0, "dfz")
