@@ -64,7 +64,16 @@ def _resolve_out(args, cfg_dir: str) -> Path:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _dispatch(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     if args.command == "verify":
         try:
             results = run_suite(args.suite, seed=args.seed)
@@ -95,9 +104,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_config(args.config)
-    except (ConfigError, FileNotFoundError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    except FileNotFoundError as exc:
+        raise ConfigError(exc) from exc
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     out_dir = _resolve_out(args, cfg.output_dir)
@@ -122,19 +130,15 @@ def main(argv: list[str] | None = None) -> int:
     experiment = dict(cfg.experiment)
     experiment.setdefault("kind", args.command)
     if experiment["kind"] != args.command:
-        print(
-            f"config error: experiment kind {experiment['kind']!r} does not match "
-            f"subcommand {args.command!r}",
-            file=sys.stderr,
+        raise ConfigError(
+            f"experiment kind {experiment['kind']!r} does not match subcommand {args.command!r}"
         )
-        return 2
     cfg = dataclasses.replace(cfg, experiment=experiment)
     try:
         started = time.time()
         outputs = run_experiment(cfg, out_dir, workers=args.workers)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    except ConfigError:
+        raise
     except Exception as exc:  # noqa: BLE001 - structured failure reporting
         print(f"simulation error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

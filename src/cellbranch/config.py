@@ -178,6 +178,8 @@ def load_config(source: str | Path | dict[str, Any]) -> RunConfig:
     if k0 < 0:
         raise ConfigError("k0 must be nonnegative")
     seed = _integer(raw.get("seed", 0), "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     experiment = _object(raw.get("experiment", {}), "experiment")
     output = _object(raw.get("output", {}), "output")
     return RunConfig(

@@ -10,12 +10,12 @@ scheduling.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
+from ._sampling import merge_rows
 from .config import ConfigError, RunConfig, _integer, _require
 from .laws import EnvironmentLaw, ImmigrationPair
 from .lineage import simulate_states_batch
@@ -60,11 +60,12 @@ def _map_blocks(fn, jobs: list, workers: int) -> list:
 # --- lineage -----------------------------------------------------------------
 
 
-def _lineage_block(job) -> dict[int, Counter]:
+def _lineage_block(job) -> np.ndarray:
     env, imm, k0, checkpoints, seed, block_index, count = job
     rng = substream(seed, LINEAGE_DOMAIN, block_index)
     states = simulate_states_batch(k0, env, imm, rng, count, checkpoints=checkpoints)
-    return {cp: Counter(arr.tolist()) for cp, arr in states.items()}
+    ids = np.repeat(list(states), count)
+    return np.column_stack(merge_rows(ids, np.concatenate([*states.values()]), np.ones_like(ids)))
 
 
 def run_lineage(
@@ -75,23 +76,24 @@ def run_lineage(
     replicates: int,
     seed: int,
     workers: int = 1,
-) -> dict[int, Counter]:
-    """Empirical state distribution of the cell line at each checkpoint."""
+) -> np.ndarray:
+    """Empirical state distribution of the cell line at each checkpoint.
+
+    Returns int64 rows (checkpoint, state, paths), sorted by checkpoint,
+    then state; each checkpoint's paths sum to ``replicates``.
+    """
     jobs = [
         (env, imm, k0, checkpoints, seed, bi, count)
         for bi, (_, count) in enumerate(_split_blocks(replicates, LINEAGE_BLOCK))
     ]
-    merged: dict[int, Counter] = {cp: Counter() for cp in checkpoints}
-    for partial in _map_blocks(_lineage_block, jobs, workers):
-        for cp, counter in partial.items():
-            merged[cp].update(counter)
-    return merged
+    rows = np.concatenate(_map_blocks(_lineage_block, jobs, workers))
+    return np.column_stack(merge_rows(*rows.T))
 
 
 # --- tree --------------------------------------------------------------------
 
 
-def _tree_block(job) -> list[tuple[int, int, int, int]]:
+def _tree_block(job) -> np.ndarray:
     env, imm, k0, n_max, traversal, seed, block_index, start_run, count = job
     rng = substream(seed, TREE_DOMAIN, block_index)
     rows = []
@@ -100,8 +102,9 @@ def _tree_block(job) -> list[tuple[int, int, int, int]]:
             ledgers = [simulate_tree_dfs(k0, n_max, env, imm, rng)]
         else:
             ledgers = simulate_tree_bfs(k0, n_max, env, imm, rng)
-        rows += [(run_id, led.n, k, c) for led in ledgers for k, c in led.histogram.items()]
-    return rows
+        rows += [np.column_stack(np.broadcast_arrays(run_id, led.n, led.values, led.counts))
+                 for led in ledgers]
+    return np.concatenate(rows)
 
 
 def run_tree(
@@ -113,12 +116,14 @@ def run_tree(
     seed: int,
     traversal: str = "bfs",
     workers: int = 1,
-) -> list[tuple[int, int, int, int]]:
-    """Per-run generation ledgers as (run_id, generation, parasite count, cells) rows.
+) -> np.ndarray:
+    """Per-run generation ledgers as int64 rows (run_id, generation, parasite count, cells).
 
     ``bfs`` writes every generation and ``dfs`` only generation ``n_max``;
-    both run the same tree.  An unknown traversal, or a depth past the
-    tree's bound, raises ``ConfigError`` before anything is simulated.
+    both run the same tree.  The rows come sorted by run, generation, then
+    parasite count without a sort: blocks in run order, ledgers in
+    generation order, values ascending.  An unknown traversal, or a depth
+    past the tree's bound, raises ``ConfigError`` before anything is simulated.
     """
     if traversal not in ("bfs", "dfs"):
         raise ConfigError(f"unknown traversal {traversal!r} (bfs | dfs)")
@@ -131,11 +136,7 @@ def run_tree(
         (env, imm, k0, n_max, traversal, seed, bi, start, count)
         for bi, (start, count) in enumerate(_split_blocks(replicates, block_size))
     ]
-    rows: list[tuple[int, int, int, int]] = []
-    for partial in _map_blocks(_tree_block, jobs, workers):
-        rows.extend(partial)
-    rows.sort()
-    return rows
+    return np.concatenate(_map_blocks(_tree_block, jobs, workers))
 
 
 # --- experiment dispatch -----------------------------------------------------
@@ -146,6 +147,11 @@ def run_experiment(cfg: RunConfig, out_dir: Path, workers: int = 1) -> list[str]
     started = time.time()
     kind = _require(cfg.experiment, "kind", "experiment")
     outputs: list[str] = []
+
+    def write(name: str, writer, *payload) -> None:
+        writer(out_dir / name, *payload)
+        outputs.append(str(out_dir / name))
+
     if kind in ("lineage", "tree"):
         n = _integer(_require(cfg.experiment, "n", "experiment"), "experiment.n")
         replicates = _integer(
@@ -161,53 +167,41 @@ def run_experiment(cfg: RunConfig, out_dir: Path, workers: int = 1) -> list[str]
         checkpoints = [_integer(c, "experiment.checkpoints") for c in checkpoints]
         if not checkpoints or min(checkpoints) < 0:
             raise ConfigError(f"checkpoints must be nonnegative and not empty, got {checkpoints}")
-        merged = run_lineage(cfg.env, cfg.imm, cfg.k0, checkpoints, replicates, cfg.seed, workers)
-        rows = [
-            (cp, state, count)
-            for cp in sorted(merged)
-            for state, count in sorted(merged[cp].items())
-        ]
-        path = out_dir / "lineage_states.csv"
-        write_csv(path, ("checkpoint", "state", "count"), rows)
-        outputs.append(str(path))
+        rows = run_lineage(cfg.env, cfg.imm, cfg.k0, checkpoints, replicates, cfg.seed, workers)
+        write("lineage_states.csv", write_csv, ("checkpoint", "state", "count"), rows)
+        cps, at = np.unique(rows[:, 0], return_inverse=True)
+        totals = np.zeros(cps.size, object)  # Python ints: a sum of states can pass int64
+        np.add.at(totals, at, rows[:, 1].astype(object) * rows[:, 2])
+        free = rows[:, 1] == 0
+        empty = dict(zip(rows[free, 0].tolist(), rows[free, 2].tolist()))
         summary = {
             str(cp): {
                 "replicates": replicates,
-                "mean": sum(s * c for s, c in counter.items()) / replicates,
-                "fraction_empty": counter.get(0, 0) / replicates,
+                "mean": total / replicates,
+                "fraction_empty": empty.get(cp, 0) / replicates,
             }
-            for cp, counter in merged.items()
+            for cp, total in zip(cps.tolist(), totals)
         }
-        spath = out_dir / "lineage_summary.json"
-        write_json(spath, summary)
-        outputs.append(str(spath))
+        write("lineage_summary.json", write_json, summary)
 
     elif kind == "tree":
         traversal = cfg.experiment.get("traversal", "bfs")
         if not isinstance(traversal, str):
             raise ConfigError(f"traversal must be a string, got {traversal!r}")
         rows = run_tree(cfg.env, cfg.imm, cfg.k0, n, replicates, cfg.seed, traversal, workers)
-        path = out_dir / "tree_ledgers.csv"
-        write_csv(path, ("run_id", "n", "k", "count"), rows)
-        outputs.append(str(path))
-        infected = Counter()
-        cells = Counter()
-        for _, g, k, c in rows:
-            cells[g] += c
-            if k > 0:
-                infected[g] += c
-        spath = out_dir / "tree_summary.json"
-        write_json(
-            spath,
-            {
-                "replicates": replicates,
-                "traversal": traversal,
-                "mean_infected_fraction": {
-                    str(g): infected.get(g, 0) / cells[g] for g in sorted(cells)
-                },
+        write("tree_ledgers.csv", write_csv, ("run_id", "n", "k", "count"), rows)
+        _, gen, k, c = rows.T
+        cells, infected = np.zeros((2, n + 1), object)  # Python ints: cells can pass int64
+        np.add.at(cells, gen, c.astype(object))
+        np.add.at(infected, gen[k > 0], c[k > 0].astype(object))
+        summary = {
+            "replicates": replicates,
+            "traversal": traversal,
+            "mean_infected_fraction": {
+                str(g): infected[g] / cells[g] for g in range(n + 1) if cells[g]
             },
-        )
-        outputs.append(str(spath))
+        }
+        write("tree_summary.json", write_json, summary)
 
     elif kind == "oracle":
         K = _integer(cfg.experiment.get("K", 512), "experiment.K")
@@ -231,44 +225,29 @@ def run_experiment(cfg: RunConfig, out_dir: Path, workers: int = 1) -> list[str]
             result = propagate(kernel, cfg.k0, n)
             rows = [(str(k), repr(float(p))) for k, p in enumerate(result.probs)]
             rows.append(("overflow", repr(result.overflow)))
-            path = out_dir / "oracle_pmf.csv"
-            write_csv(path, ("state", "probability"), rows)
-            outputs.append(str(path))
+            write("oracle_pmf.csv", write_csv, ("state", "probability"), rows)
         if "renewal" in quantities:
             limit = renewal_limit(kernel, cap=cap)
             u = renewal_sequence(kernel, n)
-            path = out_dir / "oracle_renewal.json"
-            write_json(
-                path,
-                {
-                    "u_infinity": limit.u_infinity,
-                    "expected_return_time": limit.expected_return_time,
-                    "remainder_bound": limit.remainder_bound,
-                    "u_sequence_tail": list(u[-10:]),
-                },
-            )
-            outputs.append(str(path))
+            renewal = {
+                "u_infinity": limit.u_infinity,
+                "expected_return_time": limit.expected_return_time,
+                "remainder_bound": limit.remainder_bound,
+                "u_sequence_tail": list(u[-10:]),
+            }
+            write("oracle_renewal.json", write_json, renewal)
         if "stationary" in quantities:
             result = stationary_solve(kernel)
-            path = out_dir / "oracle_stationary.csv"
-            write_csv(
-                path,
-                ("state", "power_iteration", "excursion_formula"),
-                [
-                    (k, repr(float(a)), repr(float(b)))
-                    for k, (a, b) in enumerate(zip(result.pmf, result.excursion))
-                ],
-            )
-            outputs.append(str(path))
+            rows = [
+                (k, repr(float(a)), repr(float(b)))
+                for k, (a, b) in enumerate(zip(result.pmf, result.excursion))
+            ]
+            write("oracle_stationary.csv", write_csv,
+                  ("state", "power_iteration", "excursion_formula"), rows)
         if "hitting_tail" in quantities:
             tail = hitting_tail(kernel, cfg.k0, n)
-            path = out_dir / "oracle_hitting_tail.csv"
-            write_csv(
-                path,
-                ("n", "tail_probability"),
-                [(i + 1, repr(float(t))) for i, t in enumerate(tail)],
-            )
-            outputs.append(str(path))
+            rows = [(i + 1, repr(float(t))) for i, t in enumerate(tail)]
+            write("oracle_hitting_tail.csv", write_csv, ("n", "tail_probability"), rows)
 
     else:
         raise ConfigError(f"unknown experiment kind {kind!r} (lineage | tree | oracle)")

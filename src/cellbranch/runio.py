@@ -16,18 +16,24 @@ from importlib import metadata
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
+import numpy as np
+
 
 def config_hash(raw_config: dict[str, Any]) -> str:
     canonical = json.dumps(raw_config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence] | np.ndarray) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        if isinstance(rows, np.ndarray):  # in blocks: one tolist() of every row peaks memory
+            for start in range(0, len(rows), 4096):
+                writer.writerows(rows[start:start + 4096].tolist())
+        else:
+            writer.writerows(rows)
 
 
 def write_json(path: Path, payload: dict[str, Any]) -> None:

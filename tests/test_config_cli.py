@@ -326,6 +326,103 @@ class TestCli:
         assert manifest["seed"] == 99
 
 
+COIN = {"kind": "finite", "values": [0, 1], "probs": [0.5, 0.5]}
+
+
+def csv_rows(path: Path) -> list[list[int]]:
+    return [[int(x) for x in line.split(",")] for line in path.read_text().splitlines()[1:]]
+
+
+class TestArtifactRows:
+    """CSV rows and the summaries read from them: order, merges, and totals past int64."""
+
+    def run(self, tmp_path, model, experiment, *flags, out="o"):
+        cfg = write_config(tmp_path, {"seed": 4, "model": model, "experiment": experiment})
+        assert main([experiment["kind"], "--config", str(cfg), "--out", str(tmp_path / out),
+                     *flags]) == 0
+        return tmp_path / out
+
+    def test_tree_summary_is_exact_past_int64(self, tmp_path):
+        dying = {"builder": "explicit_bivariate", "components": [{"support": [[0, 0, 1.0]]}]}
+        model = {"environment": dying, "immigration": {"mode": "state_independent", "y0": COIN}}
+        out = self.run(tmp_path, model, {"kind": "tree", "n": 62, "replicates": 4})
+        rows = csv_rows(out / "tree_ledgers.csv")
+        assert rows == sorted(rows)
+        cells, infected = [0] * 63, [0] * 63
+        for _, g, k, c in rows:
+            cells[g] += c
+            infected[g] += c if k > 0 else 0
+        assert cells[62] == 2**64  # four runs of 2**62 cells: an int64 total wraps to 0
+        summary = json.loads((out / "tree_summary.json").read_text())
+        assert summary["mean_infected_fraction"] == {
+            str(g): infected[g] / cells[g] for g in range(63)
+        }
+
+    def test_lineage_rows_merge_across_blocks(self, tmp_path):
+        # 20,000 paths are three blocks of at most 8,192
+        experiment = {"kind": "lineage", "n": 12, "replicates": 20_000, "checkpoints": [12, 3]}
+        out = self.run(tmp_path, BASE_MODEL, experiment)
+        rows = csv_rows(out / "lineage_states.csv")
+        keys = [(cp, state) for cp, state, _ in rows]
+        assert keys == sorted(set(keys))
+        for cp in (3, 12):
+            assert sum(c for t, _, c in rows if t == cp) == 20_000
+
+    def test_saturated_lineage_mean_is_exact(self, tmp_path):
+        model = {
+            "environment": {"builder": "cluster_split",
+                            "z": {"kind": "finite", "values": [4096], "probs": [1.0]},
+                            "p_values": [[0.5, 1.0]]},
+            "immigration": {"y0": COIN, "y1": COIN},
+            "k0": 1,
+        }
+        out = self.run(tmp_path, model, {"kind": "lineage", "n": 8, "replicates": 4096})
+        rows = csv_rows(out / "lineage_states.csv")
+        assert rows[-1][1] == 2**53  # saturated states
+        total = sum(state * c for _, state, c in rows)
+        assert total >= 2**63
+        summary = json.loads((out / "lineage_summary.json").read_text())
+        assert summary["8"]["mean"] == total / 4096
+
+    def test_tree_worker_count_does_not_change_artifacts(self, tmp_path):
+        # 150 runs at depth 5 are three blocks of at most 64
+        experiment = {"kind": "tree", "n": 5, "replicates": 150}
+        one = self.run(tmp_path, BASE_MODEL, experiment, "--workers", "1", out="w1")
+        two = self.run(tmp_path, BASE_MODEL, experiment, "--workers", "2", out="w2")
+        for name in ("tree_ledgers.csv", "tree_summary.json"):
+            assert (one / name).read_bytes() == (two / name).read_bytes()
+
+
+class TestNegativeSeed:
+    """A negative seed is a configuration problem: exit 2, before anything runs."""
+
+    def test_config_seed(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"seed": -5, "model": BASE_MODEL,
+                                      "experiment": {"kind": "lineage", "n": 3, "replicates": 10}})
+        assert main(["lineage", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="seed"):
+            load_config({"seed": -5, "model": BASE_MODEL})
+
+    @pytest.mark.parametrize(
+        "experiment",
+        [{"kind": "lineage", "n": 3, "replicates": 10}, {"kind": "tree", "n": 3, "replicates": 2},
+         {"kind": "oracle", "K": 16, "n": 5}],
+        ids=["lineage", "tree", "oracle"],
+    )
+    def test_seed_flag(self, tmp_path, capsys, experiment):
+        cfg = write_config(tmp_path, {"model": BASE_MODEL, "experiment": experiment})
+        out = tmp_path / "o"
+        argv = [experiment["kind"], "--config", str(cfg), "--seed", "-2", "--out", str(out)]
+        assert main(argv) == 2
+        assert "--seed must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_verify_seed_flag(self, capsys):
+        assert main(["verify", "--suite", "oracle-equivalence", "--seed", "-1"]) == 2
+        assert "--seed must be nonnegative" in capsys.readouterr().err
+
+
 def test_run_suite_counts_a_shared_computation_once(monkeypatch):
     def suite(seed):
         time.sleep(0.2)  # one computation behind both checks

@@ -656,12 +656,15 @@ class TestRunTree:
         env = build_binomial_split(FiniteLaw.delta(2), [(0.5, 1.0)])
         n_max, replicates, seed = 6, 70, 3
         rows = run_tree(env, imm, k0, n_max, replicates, seed, traversal)
+        assert rows.dtype == np.int64 and rows.shape[1] == 4
         groups: dict[tuple[int, int], int] = {}
-        for run_id, n, _, c in rows:
+        for run_id, n, _, c in rows.tolist():
             groups[run_id, n] = groups.get((run_id, n), 0) + c
         generations = [n_max] if traversal == "dfs" else range(n_max + 1)
         assert groups == {(r, n): 2**n for r in range(replicates) for n in generations}
-        assert rows == self.expected_rows(env, imm, k0, n_max, replicates, seed, traversal)
+        # the expected rows are sorted, so run_tree's rows need no sort
+        expected = self.expected_rows(env, imm, k0, n_max, replicates, seed, traversal)
+        assert rows.tolist() == [list(row) for row in expected]
 
     def test_unknown_traversal_rejected(self):
         with pytest.raises(ConfigError, match="unknown traversal"):
