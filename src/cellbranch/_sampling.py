@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -107,3 +108,76 @@ def divide(
             draws[mask] = law.sample_many(rng, np.count_nonzero(mask))
         row += draws
     return np.minimum(rows, BATCH_STATE_CAP, out=rows)
+
+
+def binomial_brood(env: EnvironmentLaw) -> tuple[int, float] | None:
+    """(z, p) when a cell's v parasites split between its daughters as Bin(vz, p).
+
+    That is the dying environment (z = 0) and a one-component binomial split
+    of a one-atom brood z with 0 < p < 1; any other environment gives None.
+    """
+    if not env._atoms[0].any():
+        return 0, 0.5
+    split = env._split
+    if split is None or len(split[1]) > 1 or len(split[0].values) > 1:
+        return None
+    return (split[0].values[0], float(split[1][0])) if 0 < split[1][0] < 1 else None
+
+
+def bulk_rows(values: np.ndarray, counts: np.ndarray, brood, imm: ImmigrationPair) -> np.ndarray:
+    """Rows of c cells at v that ``divide_rows`` draws: Q_v known, with fewer than c atoms."""
+    z = brood[0] if brood else 0
+    finite = all(hasattr(y, "_probs_arr") for y in (imm.y0, imm.y1))  # an atom table each
+    # Q_v is known at v = 0 and, under a brood, at every v; c > vz + 1 in float: vz cannot wrap
+    return finite & ((values == 0) | (brood is not None)) & (counts > values * float(z) + 1)
+
+
+def pair_counts(n: np.ndarray, c: np.ndarray, p: float, rng) -> list[np.ndarray]:
+    """(row i, s0, pairs) for each s0 that some of c[i] pairs with s0 ~ Bin(n[i], p) took.
+
+    Each row is one multinomial over its pmf.  Rows whose widths n + 1 are
+    within a factor two share one zero-padded table, so a table holds at
+    most twice the atoms it draws; width-1 rows (n = 0) draw nothing.
+    """
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n.max() + 1)))))
+    level = np.frexp(n + 1.0)[1]
+    parts = []
+    for b in np.unique(level):
+        rows = np.flatnonzero(level == b)
+        if b == 1:  # n = 0: all c[i] pairs are (0, 0)
+            parts.append((rows, n[rows], c[rows]))
+            continue
+        top = n[rows, None]
+        k = np.arange(top.max() + 1)
+        j = np.minimum(k, top)
+        log_pmf = log_fact[top] - log_fact[j] - log_fact[top - j]
+        pmf = np.exp(log_pmf + j * math.log(p) + (top - j) * math.log1p(-p)) * (k <= top)
+        draws = multinomial_counts(rng, c[rows], pmf / pmf.sum(axis=1, keepdims=True))
+        i, s0 = np.nonzero(draws)
+        parts.append((rows[i], s0, draws[i, s0]))
+    return [np.concatenate(x) for x in zip(*parts)]
+
+
+def divide_rows(values, counts, brood, imm, rng, keep_one=False) -> list[np.ndarray]:
+    """Daughter rows (row i, value, count) of ``bulk_rows``' counts[i] cells at values[i].
+
+    A row's c pairs are one multinomial over Q_v (``pair_counts``), and each kept (row, side)
+    one over its contamination.  With ``keep_one`` each cell keeps one daughter, as the cell
+    line does: of a pair row's d cells, k ~ Bin(d, 1/2) keep daughter 0 and d - k daughter 1.
+    """
+    if not values.size:
+        return [values] * 3
+    z, p = brood or (0, 0.5)  # with no brood, only Q_0 = (0, 0) is known
+    n = values * z
+    row, s0, pairs = pair_counts(n, counts, p, rng)
+    pre = np.concatenate((s0, n[row] - s0))  # daughter 0's rows, then daughter 1's
+    k = rng.binomial(pairs, 0.5) if keep_one else pairs
+    row, kept = np.concatenate((row, row)), np.concatenate((k, pairs - k if keep_one else pairs))
+    free = values[row] == 0
+    parts = []
+    for mask, law in ((free, imm.y0), (~free, imm.y1)):
+        draws = multinomial_counts(rng, kept[mask], law._probs_arr)
+        i, j = np.nonzero(draws)
+        daughters = np.minimum(pre[mask][i] + law._vals_arr[j], BATCH_STATE_CAP)
+        parts.append((row[mask][i], daughters, draws[i, j]))
+    return [np.concatenate(x) for x in zip(*parts)]

@@ -51,7 +51,9 @@ def _split_blocks(total: int, block_size: int) -> list[tuple[int, int]]:
 
 
 def _map_blocks(fn, jobs: list, workers: int) -> list:
-    if workers <= 1 or len(jobs) <= 1:
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
+    if workers == 1 or len(jobs) <= 1:
         return [fn(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))

@@ -6,14 +6,15 @@ environment, reproduces every parasite independently through that side's
 marginal, then adds contamination: the state-zero law when the cell was
 parasite-free, the infected-state law otherwise.
 
-One vectorized step, ``batch_step``, advances every lane of a state array
-through that construction; every runner here is built on it.  It is the
-tree's division with one daughter kept: each lane draws a component and a
-side, ``_sampling.divide`` draws both daughters as the tree does, and the
-lane keeps the side's row, contaminated and capped.  A single trajectory
-is a one-lane run.  The two batch runners share one checkpoint loop; the
-normalized one divides each state by the running product of the realized
-reproduction means that ``batch_step`` records.
+One vectorized step, ``batch_step``, advances every lane of a state array:
+each lane draws a component and a side, ``_sampling.divide`` draws both
+daughters as the tree does, and the lane keeps the side's row, contaminated
+and capped.  ``simulate_states_batch`` holds its paths as rows (value,
+count), as the tree holds a generation: ``divide_rows`` draws the rows the
+tree would draw in bulk, one daughter kept per cell, and ``batch_step`` the
+other lanes, until those rows hold under half of the paths and the run
+turns to lanes for good.  The normalized runner divides each state by the
+running product of the realized means that ``batch_step`` records.
 Return times and the regeneration estimate of the stationary law come from
 one laned excursion runner: n independent excursions advance together and
 each lane drops out at its return to the empty state.  States saturate at
@@ -30,7 +31,9 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from ._sampling import BATCH_STATE_CAP, divide, merge_rows, start_lanes
+from ._sampling import (
+    BATCH_STATE_CAP, binomial_brood, bulk_rows, divide, divide_rows, merge_rows, start_lanes,
+)
 from .laws import (
     DegenerateMarginal,
     EnvironmentLaw,
@@ -223,32 +226,41 @@ def batch_step(
     return new
 
 
-def _checkpointed(
-    k0: int, n_paths: int, checkpoints: list[int], advance: Callable[[np.ndarray], np.ndarray]
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (t, states) at each checkpoint t of n_paths lanes from k0, stepped by ``advance``."""
-    states = start_lanes(k0, n_paths)
+def _checkpointed(state, checkpoints: list[int], advance: Callable) -> Iterator[tuple]:
+    """Yield (t, state) at each checkpoint t, from ``state`` at 0 stepped by ``advance``."""
     wanted = set(checkpoints)
     if min(wanted, default=0) < 0:
         raise ValueError(f"checkpoint {min(wanted)} must be nonnegative")
     for t in range(max(wanted, default=-1) + 1):
         if t > 0:
-            states = advance(states)
+            state = advance(state)
         if t in wanted:
-            yield t, states
+            yield t, state
 
 
 def simulate_states_batch(
-    k0: int,
-    env: EnvironmentLaw,
-    imm: ImmigrationPair,
-    rng: np.random.Generator,
-    n_paths: int,
+    k0: int, env: EnvironmentLaw, imm: ImmigrationPair, rng: np.random.Generator, n_paths: int,
     checkpoints: list[int],
 ) -> dict[int, np.ndarray]:
-    """Many independent paths at once; returns states at each checkpoint."""
-    return dict(_checkpointed(k0, n_paths, checkpoints,
-                              lambda states: batch_step(states, env, imm, rng)))
+    """States of n_paths independent paths at each checkpoint, in an order that follows no path."""
+    brood = binomial_brood(env)
+
+    def advance(ledger):
+        values, counts = ledger  # counts None once on lanes
+        if counts is not None:
+            multi = bulk_rows(values, counts, brood, imm)
+            if 2 * int(counts[multi].sum()) >= n_paths:
+                lanes = np.repeat(values[~multi], counts[~multi])
+                lanes = batch_step(lanes, env, imm, rng) if lanes.size else lanes
+                _, kept, n_kept = divide_rows(values[multi], counts[multi], brood, imm, rng,
+                                              keep_one=True)
+                rows = np.zeros(lanes.size + kept.size, np.int64), np.concatenate((lanes, kept))
+                return merge_rows(*rows, np.concatenate((np.ones_like(lanes), n_kept)))[1:]
+            values = np.repeat(values, counts)
+        return batch_step(values, env, imm, rng), None
+
+    ledgers = _checkpointed((start_lanes(k0, 1), np.array([n_paths])), checkpoints, advance)
+    return {t: v if c is None else np.repeat(v, c) for t, (v, c) in ledgers}
 
 
 def simulate_normalized_batch(
@@ -274,4 +286,4 @@ def simulate_normalized_batch(
         return states
 
     return {t: states * np.exp(-log_pi)
-            for t, states in _checkpointed(k0, n_paths, checkpoints, advance)}
+            for t, states in _checkpointed(start_lanes(k0, n_paths), checkpoints, advance)}

@@ -8,10 +8,9 @@ this module is a deterministic function of its inputs.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -36,9 +35,9 @@ class EmpiricalMeasure:
             raise ValueError("empirical measure needs at least one observation")
 
     @classmethod
-    def from_samples(cls, samples: Iterable[int]) -> "EmpiricalMeasure":
-        counts = Counter(int(s) for s in samples)
-        return cls(counts=dict(counts), total=sum(counts.values()))
+    def from_samples(cls, samples: Sequence[int] | np.ndarray) -> "EmpiricalMeasure":
+        values, counts = np.unique(np.asarray(samples, dtype=np.int64), return_counts=True)
+        return cls(counts=dict(zip(values.tolist(), counts.tolist())), total=int(counts.sum()))
 
     @classmethod
     def from_counts(cls, counts: Mapping[int, int]) -> "EmpiricalMeasure":

@@ -34,7 +34,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ._sampling import (
-    BATCH_STATE_CAP, capped_sum, divide, merge_rows, multinomial_counts, start_lanes,
+    BATCH_STATE_CAP, binomial_brood, bulk_rows, capped_sum, divide, divide_rows, merge_rows,
+    multinomial_counts, start_lanes,
 )
 from .laws import EnvironmentLaw, FiniteLaw, HeavyTailLaw, ImmigrationPair
 from .stats import EmptySeries
@@ -113,70 +114,21 @@ def advance_generation(
     return divide(states, env, env.sample_indices(rng, states.size), imm, rng).T.ravel()
 
 
-def _binomial_brood(env: EnvironmentLaw) -> tuple[int, float] | None:
-    """(z, p) when a cell's v parasites split between its daughters as Bin(vz, p).
-
-    That is the dying environment (z = 0) and a one-component binomial split
-    of a one-atom brood z with 0 < p < 1; any other environment gives None.
-    """
-    if not env._atoms[0].any():
-        return 0, 0.5
-    split = env._split
-    if split is None or len(split[1]) > 1 or len(split[0].values) > 1:
-        return None
-    return (split[0].values[0], float(split[1][0])) if 0 < split[1][0] < 1 else None
-
-
-def _pair_counts(n: np.ndarray, c: np.ndarray, p: float, rng) -> list[np.ndarray]:
-    """(row i, s0, pairs) for each s0 that some of c[i] pairs with s0 ~ Bin(n[i], p) took.
-
-    Each row is one multinomial over its pmf.  Rows whose widths n + 1 are
-    within a factor two share one zero-padded table, so a table holds at
-    most twice the atoms it draws.
-    """
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n.max() + 1)))))
-    level = np.frexp(n + 1.0)[1]
-    parts = []
-    for b in np.unique(level):
-        rows = np.flatnonzero(level == b)
-        top = n[rows, None]
-        k = np.arange(top.max() + 1)
-        j = np.minimum(k, top)
-        log_pmf = log_fact[top] - log_fact[j] - log_fact[top - j]
-        pmf = np.exp(log_pmf + j * math.log(p) + (top - j) * math.log1p(-p)) * (k <= top)
-        draws = multinomial_counts(rng, c[rows], pmf / pmf.sum(axis=1, keepdims=True))
-        i, s0 = np.nonzero(draws)
-        parts.append((rows[i], s0, draws[i, s0]))
-    return [np.concatenate(x) for x in zip(*parts)]
-
-
 def _next_generation(runs, values, counts, brood, env, imm, rng) -> tuple[np.ndarray, ...]:
     """Ledger rows of every tree's next generation, from the rows of this one."""
-    z, p = brood or (0, 0.5)  # with no brood, only Q_0 = (0, 0) is known
-    finite = not any(isinstance(y, HeavyTailLaw) for y in (imm.y0, imm.y1))
-    # c > vz + 1 atoms, compared in float so that vz cannot wrap
-    multi = finite & ((values == 0) | (brood is not None)) & (counts > values * float(z) + 1)
-    alone, n = ~multi, values[multi] * z
-    drawn = int(counts[alone].sum()) + int(n.sum()) + n.size
+    multi = bulk_rows(values, counts, brood, imm)
+    alone = ~multi
+    z = brood[0] if brood else 0
+    drawn = int(counts[alone].sum()) + int(values[multi].sum()) * z + int(multi.sum())
     if drawn > _ROW_BUDGET:
         raise DepthTooLarge(f"a generation would draw {drawn} rows, over the budget {_ROW_BUDGET}")
     cells = np.repeat(values[alone], counts[alone])
     cells = advance_generation(cells, env, imm, rng) if cells.size else cells
-    bulk = [(values[:0],) * 3]  # (run, value, count) of the daughters drawn in bulk
-    if multi.any():
-        row, s0, pairs = _pair_counts(n, counts[multi], p, rng)
-        pre = np.concatenate((s0, n[row] - s0))  # daughter 0's rows, then daughter 1's
-        row, pairs = np.concatenate((row, row)), np.concatenate((pairs, pairs))
-        free = values[multi][row] == 0
-        for mask, law in ((free, imm.y0), (~free, imm.y1)):
-            draws = multinomial_counts(rng, pairs[mask], law._probs_arr)
-            i, j = np.nonzero(draws)
-            daughters = np.minimum(pre[mask][i] + law._vals_arr[j], BATCH_STATE_CAP)
-            bulk.append((runs[multi][row[mask][i]], daughters, draws[i, j]))
+    row, bulk_values, bulk_counts = divide_rows(values[multi], counts[multi], brood, imm, rng)
     if runs[-1] > 0:  # many trees: the cells divided one by one join the rows to merge
-        bulk.append((np.repeat(runs[alone], 2 * counts[alone]), cells, np.ones_like(cells)))
-        return merge_rows(*map(np.concatenate, zip(*bulk)))
-    _, bulk_values, bulk_counts = map(np.concatenate, zip(*bulk))
+        ids = np.concatenate((runs[multi][row], np.repeat(runs[alone], 2 * counts[alone])))
+        return merge_rows(ids, np.concatenate((bulk_values, cells)),
+                          np.concatenate((bulk_counts, np.ones_like(cells))))
     cells = np.concatenate((cells, bulk_values))  # one tree: one np.unique sorts it fastest
     values, counts = np.unique(cells, return_counts=True)
     np.add.at(counts, np.searchsorted(values, bulk_values), bulk_counts - 1)
@@ -192,7 +144,7 @@ def iter_forest_bfs(
     Yields (generation, runs, values, counts): run r holds counts[i] cells
     with values[i] parasites where runs[i] == r, sorted by run, then value.
     A row of c cells at value v whose daughters' pair law Q_v is known in
-    closed form (v = 0 anywhere; every v in ``_binomial_brood``'s cases)
+    closed form (v = 0 anywhere; every v in ``binomial_brood``'s cases)
     and has fewer than c atoms draws its c pairs as one multinomial over
     Q_v, and the daughters on each side draw contamination as one
     multinomial per pre-contamination count when both laws are finite.
@@ -203,7 +155,7 @@ def iter_forest_bfs(
         raise ValueError(f"need at least one run, got {n_runs}")
     runs, values, counts = np.arange(n_runs), start_lanes(k0, n_runs), np.ones(n_runs, np.int64)
     yield 0, runs, values, counts
-    brood = _binomial_brood(env)
+    brood = binomial_brood(env)
     for g in range(1, n_max + 1):
         runs, values, counts = _next_generation(runs, values, counts, brood, env, imm, rng)
         yield g, runs, values, counts

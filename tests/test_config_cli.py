@@ -423,6 +423,21 @@ class TestNegativeSeed:
         assert "--seed must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "experiment",
+    [{"kind": "lineage", "n": 3, "replicates": 20_000}, {"kind": "tree", "n": 3, "replicates": 20}],
+    ids=["lineage", "tree"],
+)
+def test_worker_count_below_one_exits_two(tmp_path, capsys, experiment):
+    cfg = write_config(tmp_path, {"model": BASE_MODEL, "experiment": experiment})
+    for workers in ("0", "-3"):
+        out = tmp_path / f"o{workers}"
+        argv = [experiment["kind"], "--config", str(cfg), "--workers", workers, "--out", str(out)]
+        assert main(argv) == 2
+        assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_run_suite_counts_a_shared_computation_once(monkeypatch):
     def suite(seed):
         time.sleep(0.2)  # one computation behind both checks

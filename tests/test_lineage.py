@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cellbranch import lineage
-from cellbranch._sampling import BATCH_STATE_CAP, capped_sum
+from cellbranch._sampling import BATCH_STATE_CAP, capped_sum, start_lanes
 from cellbranch.laws import (
     BivariateOffspringLaw,
     DegenerateMarginal,
@@ -24,6 +24,7 @@ from cellbranch.lineage import (
     stationary_by_regeneration,
 )
 from cellbranch.oracle import build_kernel, propagate, stationary_solve, survival_no_immigration
+from cellbranch.presets import critical_contaminated, heavy_tail_contaminated, split_environment
 from cellbranch.stats import EmpiricalMeasure, tv_distance
 
 
@@ -339,6 +340,54 @@ class TestBatchAgainstOracle:
         tv_50 = tv_distance(EmpiricalMeasure.from_samples(out[50]), exact)
         assert tv_50 < 0.02
         assert tv_50 <= tv_5 + 0.01
+
+
+class TestLedger:
+    """The cell line advanced as rows (value, count) while its bulk rows hold most lanes."""
+
+    def test_one_bulk_step_matches_the_kernel_row(self, monkeypatch):
+        # p = 0.3 makes the two daughters' laws differ: keeping the wrong side changes the law
+        env = split_environment(3, p=0.3)
+        imm = ImmigrationPair.state_independent(FiniteLaw.bernoulli(0.5))
+        exact = propagate(build_kernel(env, imm, 64, overflow_budget=None), 3, 1)
+        monkeypatch.setattr(lineage, "batch_step", None)  # a lane step would fail here
+        states = simulate_states_batch(3, env, imm, np.random.default_rng(30), 200_000, [1])[1]
+        assert states.dtype == np.int64 and states.size == 200_000
+        assert tv_distance(EmpiricalMeasure.from_samples(states), exact) < 0.01
+
+    @pytest.mark.parametrize(
+        "model, k0, n_paths",
+        [(heavy_tail_contaminated, 0, 500), (critical_contaminated, 2, 1)],
+        ids=["heavy-tail", "one-lane"],
+    )
+    def test_lanes_from_the_first_step_replay_batch_step(self, model, k0, n_paths):
+        env, imm = model()
+        rng, twin = np.random.default_rng(31), np.random.default_rng(31)
+        out = simulate_states_batch(k0, env, imm, rng, n_paths, [0, 5, 20])
+        states = start_lanes(k0, n_paths)
+        for t in range(1, 21):
+            states = batch_step(states, env, imm, twin)
+            if t in out:
+                assert np.array_equal(out[t], states)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_run_crossing_to_lanes_keeps_every_path_and_the_law(self, monkeypatch):
+        env, imm = critical_contaminated()
+        sizes = []
+
+        def recording_step(states, *model):
+            sizes.append(states.size)
+            return batch_step(states, *model)
+
+        monkeypatch.setattr(lineage, "batch_step", recording_step)
+        n_paths, checkpoints = 20_000, [0, 3, 100, 300]
+        out = simulate_states_batch(0, env, imm, np.random.default_rng(32), n_paths, checkpoints)
+        assert list(out) == checkpoints
+        assert all(out[t].size == n_paths and out[t].dtype == np.int64 for t in checkpoints)
+        switch = sizes.index(n_paths)  # bulk steps first, then every lane through batch_step
+        assert sizes[switch:] == [n_paths] * (len(sizes) - switch) and len(sizes) - switch < 300
+        exact = propagate(build_kernel(env, imm, 64, overflow_budget=None), 0, 3)
+        assert tv_distance(EmpiricalMeasure.from_samples(out[3]), exact) < 0.02
 
 
 class TestSaturation:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cellbranch import tree
-from cellbranch._sampling import BATCH_STATE_CAP, multinomial_counts
+from cellbranch._sampling import BATCH_STATE_CAP, binomial_brood, multinomial_counts
 from cellbranch.config import ConfigError
 from cellbranch.experiments import TREE_DOMAIN, run_tree, substream
 from cellbranch.laws import (
@@ -25,7 +25,6 @@ from cellbranch.stats import EmptySeries, EmpiricalMeasure, tv_distance
 from cellbranch.tree import (
     DepthTooLarge,
     GenerationLedger,
-    _binomial_brood,
     _next_generation,
     advance_generation,
     collapsed_total_law,
@@ -525,7 +524,7 @@ class TestLedgerEngine:
         exact = self.exact_daughters(0.3)
         rng = np.random.default_rng(20)
         c = 20_000
-        brood = _binomial_brood(env)
+        brood = binomial_brood(env)
         assert brood == (2, 0.3)
         rows = (np.zeros(2, dtype=np.int64), np.array([0, 3]), np.array([c, c]))
         _, values, counts = _next_generation(*rows, brood, env, imm, rng)
@@ -538,13 +537,13 @@ class TestLedgerEngine:
     def test_rows_drawn_in_bulk_only_past_the_support(self):
         # a row of 7 cells at v = 3 meets Bin(6, p)'s 7 atoms: divided cell by cell
         env = split_environment(2)
-        brood = _binomial_brood(env)
+        brood = binomial_brood(env)
         rows = (np.zeros(2, dtype=np.int64), np.array([0, 3]), np.array([2, 7]))
         rng, twin = np.random.default_rng(21), np.random.default_rng(21)
         _next_generation(*rows, brood, env, ImmigrationPair.zero(), rng)
         advance_generation(np.full(7, 3), env, ImmigrationPair.zero(), twin)
         assert rng.bit_generator.state == twin.bit_generator.state
-        assert _binomial_brood(_split_env()) is None and _binomial_brood(dying_env()) == (0, 0.5)
+        assert binomial_brood(_split_env()) is None and binomial_brood(dying_env()) == (0, 0.5)
 
     def test_critical_trees_at_depth_forty(self):
         env, zero, n_trees, depth = split_environment(2), ImmigrationPair.zero(), 20, 40
