@@ -89,8 +89,9 @@ def parse_count_law(payload: dict[str, Any], where: str):
     if kind == "finite":
         values = _require(payload, "values", where)
         probs = _require(payload, "probs", where)
+        atoms = tuple(_integer(v, f"{where}.values") for v in values)
         try:
-            return FiniteLaw(tuple(int(v) for v in values), tuple(float(p) for p in probs))
+            return FiniteLaw(atoms, tuple(float(p) for p in probs))
         except ValueError as exc:
             raise ConfigError(f"bad finite law in {where}: {exc}") from exc
     if kind == "heavy_tail":
@@ -125,9 +126,10 @@ def parse_environment(payload: dict[str, Any]) -> EnvironmentLaw:
         if builder == "explicit_bivariate":
             comps = []
             for i, comp in enumerate(_require(payload, "components", where)):
+                at = f"{where}.components[{i}]"
                 support = tuple(
-                    ((int(j), int(k)), float(p))
-                    for j, k, p in _require(comp, "support", f"{where}.components[{i}]")
+                    ((_integer(j, f"{at}.support"), _integer(k, f"{at}.support")), float(p))
+                    for j, k, p in _require(comp, "support", at)
                 )
                 comps.append((BivariateOffspringLaw(support), float(comp.get("weight", 1.0))))
             return EnvironmentLaw(tuple(comps))

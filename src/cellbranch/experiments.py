@@ -192,15 +192,17 @@ def run_experiment(cfg: RunConfig, out_dir: Path, workers: int = 1) -> list[str]
             raise ConfigError(f"traversal must be a string, got {traversal!r}")
         rows = run_tree(cfg.env, cfg.imm, cfg.k0, n, replicates, cfg.seed, traversal, workers)
         write("tree_ledgers.csv", write_csv, ("run_id", "n", "k", "count"), rows)
+        # every run holds 2**g cells at each generation g it writes, so only
+        # the free cells (k == 0 rows) are summed, as Python ints: totals can pass int64
         _, gen, k, c = rows.T
-        cells, infected = np.zeros((2, n + 1), object)  # Python ints: cells can pass int64
-        np.add.at(cells, gen, c.astype(object))
-        np.add.at(infected, gen[k > 0], c[k > 0].astype(object))
+        free = dict.fromkeys(np.flatnonzero(np.bincount(gen)).tolist(), 0)
+        for g, count in zip(gen[k == 0].tolist(), c[k == 0].tolist()):
+            free[g] += count
         summary = {
             "replicates": replicates,
             "traversal": traversal,
             "mean_infected_fraction": {
-                str(g): infected[g] / cells[g] for g in range(n + 1) if cells[g]
+                str(g): (replicates * 2**g - f) / (replicates * 2**g) for g, f in free.items()
             },
         }
         write("tree_summary.json", write_json, summary)

@@ -25,13 +25,24 @@ def config_hash(raw_config: dict[str, Any]) -> str:
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence] | np.ndarray) -> None:
+    """Write ``header`` and ``rows`` as an excel-dialect CSV (CRLF line ends).
+
+    The header and rows given as sequences go through ``csv.writer``.  A 2-D
+    numeric array is written in blocks of 4,096 rows, each block as one
+    ``%``-format of ``"%s,...,%s\\r\\n"`` repeated once per row over the
+    block's values as Python scalars (one ``tolist()`` of every row would
+    peak memory).  ``%s`` writes an int with ``str`` and a float with
+    ``repr``, as ``csv.writer`` does, so both paths write the same bytes.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        if isinstance(rows, np.ndarray):  # in blocks: one tolist() of every row peaks memory
+        if isinstance(rows, np.ndarray):
+            line = ",".join(["%s"] * rows.shape[1]) + writer.dialect.lineterminator
             for start in range(0, len(rows), 4096):
-                writer.writerows(rows[start:start + 4096].tolist())
+                block = rows[start:start + 4096]
+                fh.write(line * len(block) % tuple(block.ravel().tolist()))
         else:
             writer.writerows(rows)
 

@@ -1,5 +1,6 @@
 """Config schema and command-line behavior: exit codes, artifacts, determinism."""
 
+import csv
 import json
 import time
 from pathlib import Path
@@ -11,6 +12,7 @@ from cellbranch import verify
 from cellbranch.cli import main
 from cellbranch.config import ConfigError, load_config
 from cellbranch.laws import FiniteLaw, HeavyTailLaw
+from cellbranch.runio import write_csv
 
 BASE_MODEL = {
     "environment": {
@@ -56,6 +58,19 @@ class TestConfigParsing:
         }
         cfg = load_config({"model": model})
         assert cfg.imm.is_zero_pair
+
+    def test_integral_float_atoms_accepted(self):
+        model = {
+            "environment": {
+                "builder": "explicit_bivariate",
+                "components": [{"support": [[1.0, 0, 0.5], [0, 2.0, 0.5]]}],
+            },
+            "immigration": {"mode": "state_independent",
+                            "y0": {"kind": "finite", "values": [0, 2.0], "probs": [0.5, 0.5]}},
+        }
+        cfg = load_config({"model": model})
+        assert cfg.env.laws[0].support == (((1, 0), 0.5), ((0, 2), 0.5))
+        assert cfg.imm.y0.values == (0, 2)
 
     def test_cluster_split_and_heavy_tail(self):
         model = {
@@ -290,11 +305,19 @@ class TestCli:
             ("oracle", ("experiment", "overflow_budget"), -1, "overflow_budget"),
             ("tree", ("experiment", "traversal"), ["bfs"], "traversal must be a string"),
             ("oracle", ("experiment", "quantities"), "pmf", "quantities must be a list"),
+            ("lineage", ("model", "environment", "z", "values"), [2.7],
+             "model.environment.z.values must be an integer, got 2.7"),
+            ("lineage", ("model", "environment", "z", "values"), ["3"],
+             "model.environment.z.values must be an integer, got '3'"),
+            ("lineage", ("model", "environment"),
+             {"builder": "explicit_bivariate", "components": [{"support": [[0.9, 1.6, 1.0]]}]},
+             "model.environment.components[0].support must be an integer, got 0.9"),
         ],
         ids=["p-value-not-a-pair", "grid-not-an-int", "z-values-not-a-list", "support-not-triples",
              "n-not-an-int", "immigration-not-an-object", "output-not-an-object",
              "budget-not-a-number", "budget-negative", "traversal-not-a-string",
-             "quantities-not-a-list"],
+             "quantities-not-a-list", "z-value-fractional", "z-value-a-string",
+             "support-atom-fractional"],
     )
     def test_wrong_json_type_exits_two(self, tmp_path, capsys, command, path, value, message):
         config = {
@@ -327,6 +350,7 @@ class TestCli:
 
 
 COIN = {"kind": "finite", "values": [0, 1], "probs": [0.5, 0.5]}
+DYING = {"builder": "explicit_bivariate", "components": [{"support": [[0, 0, 1.0]]}]}
 
 
 def csv_rows(path: Path) -> list[list[int]]:
@@ -357,6 +381,37 @@ class TestArtifactRows:
         assert summary["mean_infected_fraction"] == {
             str(g): infected[g] / cells[g] for g in range(63)
         }
+
+    @pytest.mark.parametrize(
+        "model, experiment",
+        [
+            (BASE_MODEL, {"kind": "tree", "n": 6, "replicates": 5, "traversal": "dfs"}),
+            # one contaminating parasite in every daughter: no generation has a k = 0 row
+            ({"environment": DYING, "k0": 1, "immigration": {
+                "mode": "state_independent", "y0": {"kind": "finite", "values": [1], "probs": [1.0]}}},
+             {"kind": "tree", "n": 5, "replicates": 3}),
+            # the root's parasites leave no offspring: every later cell is free
+            ({"environment": DYING, "k0": 2, "immigration": {"mode": "zero"}},
+             {"kind": "tree", "n": 5, "replicates": 3}),
+        ],
+        ids=["dfs-last-generation-only", "no-free-cell", "infection-dies-out"],
+    )
+    def test_tree_summary_matches_the_ledger_rows(self, tmp_path, model, experiment):
+        out = self.run(tmp_path, model, experiment)
+        rows = csv_rows(out / "tree_ledgers.csv")
+        cells, infected = {}, {}
+        for _, g, k, c in rows:
+            cells[g] = cells.get(g, 0) + c
+            infected[g] = infected.get(g, 0) + (c if k > 0 else 0)
+        fractions = json.loads((out / "tree_summary.json").read_text())["mean_infected_fraction"]
+        assert fractions == {str(g): infected[g] / cells[g] for g in cells}
+        n = experiment["n"]
+        if experiment.get("traversal") == "dfs":
+            assert list(fractions) == [str(n)]
+        elif model["k0"] == 1:
+            assert all(k > 0 for _, _, k, _ in rows) and set(fractions.values()) == {1.0}
+        else:
+            assert fractions == {"0": 1.0, **{str(g): 0.0 for g in range(1, n + 1)}}
 
     def test_lineage_rows_merge_across_blocks(self, tmp_path):
         # 20,000 paths are three blocks of at most 8,192
@@ -391,6 +446,48 @@ class TestArtifactRows:
         two = self.run(tmp_path, BASE_MODEL, experiment, "--workers", "2", out="w2")
         for name in ("tree_ledgers.csv", "tree_summary.json"):
             assert (one / name).read_bytes() == (two / name).read_bytes()
+
+
+class TestWriteCsv:
+    """The block-formatted array path writes what ``csv.writer`` writes."""
+
+    HEADER = ("run_id", "n", "k", "count")
+
+    def reference(self, tmp_path, rows) -> bytes:
+        path = tmp_path / "reference.csv"
+        with path.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(self.HEADER)
+            writer.writerows(rows)
+        return path.read_bytes()
+
+    def written(self, tmp_path, rows) -> bytes:
+        write_csv(tmp_path / "written.csv", self.HEADER, rows)
+        return (tmp_path / "written.csv").read_bytes()
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 4095, 4096, 4097])
+    def test_int_rows_across_block_edges(self, tmp_path, n_rows):
+        # six values cycled over four columns: each column holds each of them
+        extremes = np.array([-1, -(2**63), 2**53, 2**53 + 1, 2**63 - 1, 0], np.int64)
+        rows = np.resize(extremes, n_rows * 4).reshape(n_rows, 4)
+        assert self.written(tmp_path, rows) == self.reference(tmp_path, rows.tolist())
+
+    def test_float_rows(self, tmp_path):
+        special = [0.1, -0.0, float("nan"), float("inf"), -float("inf"), 1e300, 5e-324, 1 / 3]
+        rows = np.resize(np.array(special), 4097 * 4).reshape(4097, 4)
+        written = self.written(tmp_path, rows)
+        assert written == self.reference(tmp_path, rows.tolist())
+        assert written.split(b"\r\n")[1] == b"0.1,-0.0,nan,inf"
+
+    def test_line_ends_are_crlf(self, tmp_path):
+        rows = np.array([[0, 1, -2, 2**62]])
+        assert self.written(tmp_path, rows) == b"run_id,n,k,count\r\n0,1,-2,4611686018427387904\r\n"
+
+    def test_tuple_rows_go_through_csv_writer(self, tmp_path):
+        rows = [("overflow", repr(0.25), 3, "a,b"), ("1", "nan", -0.0, 'say "x"')]
+        written = self.written(tmp_path, rows)
+        assert written == self.reference(tmp_path, rows)
+        assert written.endswith(b'1,nan,-0.0,"say ""x"""\r\n')
 
 
 class TestNegativeSeed:

@@ -18,7 +18,7 @@ from cellbranch.laws import (
     build_binomial_split,
     build_cluster_split,
 )
-from cellbranch.lineage import batch_step
+from cellbranch.lineage import batch_step, simulate_path, simulate_states_batch
 from cellbranch.oracle import build_kernel, propagate, stationary_solve, survival_no_immigration
 from cellbranch.presets import split_environment, subcritical_binomial
 from cellbranch.stats import EmptySeries, EmpiricalMeasure, tv_distance
@@ -239,6 +239,45 @@ class TestSplitDraws:
             children = advance_generation(cap, env, ImmigrationPair.zero(), rng)
             assert list(children) == [BATCH_STATE_CAP] * 2
             assert list(batch_step(cap, env, ImmigrationPair.zero(), rng)) == [BATCH_STATE_CAP]
+
+    @given(
+        p=st.floats(0.1, 0.9),
+        k0=st.integers(1, 64),
+        contaminated=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_one_lane_batch_and_tree_saturate_together(self, p, k0, contaminated, seed):
+        # each parasite's brood of 4096 passes 2**53 within 8 divisions on every path
+        env = build_binomial_split(FiniteLaw.delta(4096), [(p, 1)])
+        coin = FiniteLaw.bernoulli(0.5)
+        imm = ImmigrationPair(coin, coin) if contaminated else ImmigrationPair.zero()
+        rng = np.random.default_rng(seed)
+        assert simulate_path(k0, 8, env, imm, rng).states[8] == BATCH_STATE_CAP
+        states = simulate_states_batch(k0, env, imm, rng, 64, [8])[8]
+        assert states.tolist() == [BATCH_STATE_CAP] * 64
+        last = simulate_tree_bfs(k0, 8, env, imm, rng)[8]
+        assert last.values.tolist() == [BATCH_STATE_CAP] and last.counts.tolist() == [2**8]
+
+    @given(
+        p=st.floats(0.1, 0.9),
+        k0=st.integers(1, 64),
+        contaminated=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_cluster_split_stays_in_range_at_the_cap(self, p, k0, contaminated, seed):
+        env = build_cluster_split(FiniteLaw.delta(4096), [(p, 1)])
+        coin = FiniteLaw.bernoulli(0.5)
+        imm = ImmigrationPair(coin, coin) if contaminated else ImmigrationPair.zero()
+        rng = np.random.default_rng(seed)
+        path = simulate_path(k0, 8, env, imm, rng).states
+        batch = simulate_states_batch(k0, env, imm, rng, 64, [4, 8])
+        for states in (path, batch[4], batch[8]):
+            assert states.min() >= 0 and states.max() <= BATCH_STATE_CAP
+        for led in simulate_tree_bfs(k0, 8, env, imm, rng):
+            assert led.values.min() >= 0 and led.values.max() <= BATCH_STATE_CAP
+            assert led.counts.min() > 0 and led.cells == 2**led.n
 
 
 class TestBfs:
