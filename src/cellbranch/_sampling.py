@@ -1,4 +1,4 @@
-"""Vectorized exact sampling primitives, and the one row merge, shared by the simulators."""
+"""Vectorized exact sampling primitives, the one row merge and the one ledger step."""
 
 from __future__ import annotations
 
@@ -181,3 +181,24 @@ def divide_rows(values, counts, brood, imm, rng, keep_one=False) -> list[np.ndar
         daughters = np.minimum(pre[mask][i] + law._vals_arr[j], BATCH_STATE_CAP)
         parts.append((row[mask][i], daughters, draws[i, j]))
     return [np.concatenate(x) for x in zip(*parts)]
+
+
+def ledger_step(rows, multi, divide_cells, brood, imm, rng, keep_one=False) -> tuple:
+    """Rows (run, value, count) sorted by run, then value, one division on.
+
+    ``divide_rows`` draws the rows in ``multi``, and ``divide_cells`` the cells of the others
+    into two daughters each (the tree's ``advance_generation``) or, with ``keep_one``, one.
+    """
+    runs, values, counts = rows
+    alone = ~multi
+    cells = np.repeat(values[alone], counts[alone])
+    cells = divide_cells(cells) if cells.size else cells
+    row, kept, n_kept = divide_rows(values[multi], counts[multi], brood, imm, rng, keep_one)
+    if runs[-1:].any():  # many runs: the cells divided one by one join the rows to merge
+        ids = np.repeat(runs[alone], (2 - keep_one) * counts[alone])
+        return merge_rows(np.concatenate((runs[multi][row], ids)), np.concatenate((kept, cells)),
+                          np.concatenate((n_kept, np.ones_like(cells))))
+    cells = np.concatenate((cells, kept))  # one run: one np.unique sorts it fastest
+    values, counts = np.unique(cells, return_counts=True)
+    np.add.at(counts, np.searchsorted(values, kept), n_kept - 1)
+    return np.zeros(values.size, np.int64), values, counts

@@ -74,14 +74,17 @@ def _require(mapping: dict, key: str, where: str) -> Any:
 
 
 def _integer(value: Any, what: str) -> int:
-    """``value`` as an int; anything but an integral number is a ``ConfigError``."""
-    try:
-        out = int(value)
-    except (TypeError, ValueError, OverflowError):
-        out = None
-    if out is None or out != value:
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return out
+    """``value`` as an int; anything but an integral JSON number is a ``ConfigError``."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
+def _real(value: Any, what: str) -> float:
+    """``value`` as a float; anything but a JSON number (a bool is not one) is a ``ConfigError``."""
+    if type(value) not in (int, float):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def parse_count_law(payload: dict[str, Any], where: str):
@@ -90,8 +93,9 @@ def parse_count_law(payload: dict[str, Any], where: str):
         values = _require(payload, "values", where)
         probs = _require(payload, "probs", where)
         atoms = tuple(_integer(v, f"{where}.values") for v in values)
+        weights = tuple(_real(p, f"{where}.probs") for p in probs)
         try:
-            return FiniteLaw(atoms, tuple(float(p) for p in probs))
+            return FiniteLaw(atoms, weights)
         except ValueError as exc:
             raise ConfigError(f"bad finite law in {where}: {exc}") from exc
     if kind == "heavy_tail":
@@ -107,7 +111,7 @@ def _parse_p_values(payload: Any, where: str) -> list[tuple[float, float]]:
         for entry in payload:
             if len(entry) != 2:
                 raise ConfigError(f"p_values entries in {where} must be [p, weight] pairs")
-            out.append((float(entry[0]), float(entry[1])))
+            out.append(tuple(_real(x, f"{where}.p_values") for x in entry))
         return out
     raise ConfigError(f"p_values in {where} must be a list or {{'uniform_grid': n}}")
 
@@ -127,11 +131,11 @@ def parse_environment(payload: dict[str, Any]) -> EnvironmentLaw:
             comps = []
             for i, comp in enumerate(_require(payload, "components", where)):
                 at = f"{where}.components[{i}]"
-                support = tuple(
-                    ((_integer(j, f"{at}.support"), _integer(k, f"{at}.support")), float(p))
-                    for j, k, p in _require(comp, "support", at)
-                )
-                comps.append((BivariateOffspringLaw(support), float(comp.get("weight", 1.0))))
+                triples = _require(comp, "support", at)
+                support = tuple(((_integer(j, f"{at}.support"), _integer(k, f"{at}.support")),
+                                 _real(p, f"{at}.support")) for j, k, p in triples)
+                weight = _real(comp.get("weight", 1.0), f"{at}.weight")
+                comps.append((BivariateOffspringLaw(support), weight))
             return EnvironmentLaw(tuple(comps))
     except ConfigError:
         raise

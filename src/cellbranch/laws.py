@@ -40,7 +40,7 @@ class InvalidContamination(ValueError):
 
 
 def _check_probs(probs: np.ndarray, what: str) -> np.ndarray:
-    if np.any(probs < -1e-15) or np.any(probs > 1 + 1e-15):
+    if not np.all((probs >= -1e-15) & (probs <= 1 + 1e-15)):  # a NaN fails both
         raise ValueError(f"{what}: probabilities must lie in [0, 1]")
     total = float(probs.sum())
     if abs(total - 1.0) > NORMALIZATION_TOL:
@@ -338,8 +338,6 @@ def build_binomial_split(
     P(X0=a, X1=b) = P(Z=a+b) * C(a+b, a) * p^a * (1-p)^b, computed exactly;
     the environment records (Z, the p values) as its ``_split``.
     """
-    if not z_law.values:
-        raise ValueError("empty reproduction law")
     comps = []
     for p, w in p_values:
         if not 0.0 <= p <= 1.0:
@@ -373,8 +371,6 @@ def build_cluster_split(
     For each split parameter p the offspring pair is (Z, 0) with probability p
     and (0, Z) with probability 1-p.
     """
-    if not z_law.values:
-        raise ValueError("empty reproduction law")
     comps = []
     for p, w in p_values:
         if not 0.0 <= p <= 1.0:

@@ -10,16 +10,14 @@ One vectorized step, ``batch_step``, advances every lane of a state array:
 each lane draws a component and a side, ``_sampling.divide`` draws both
 daughters as the tree does, and the lane keeps the side's row, contaminated
 and capped.  ``simulate_states_batch`` holds its paths as rows (value,
-count), as the tree holds a generation: ``divide_rows`` draws the rows the
-tree would draw in bulk, one daughter kept per cell, and ``batch_step`` the
-other lanes, until those rows hold under half of the paths and the run
-turns to lanes for good.  The normalized runner divides each state by the
-running product of the realized means that ``batch_step`` records.
-Return times and the regeneration estimate of the stationary law come from
-one laned excursion runner: n independent excursions advance together and
-each lane drops out at its return to the empty state.  States saturate at
-``BATCH_STATE_CAP`` = 2^53, the one state cap, where float64 still counts
-exactly; a trajectory that reaches it is flagged ``saturated``.
+count) and advances them by the tree's ``_sampling.ledger_step``, keeping
+one daughter per cell.  ``simulate_path``, the normalized runner (which
+divides each state by the running product of the realized means that
+``batch_step`` records) and the excursion runner (return times and the
+regeneration estimate of the stationary law; a lane drops out at its
+return to the empty state) step lanes.  States saturate at
+``BATCH_STATE_CAP`` = 2^53, where float64 still counts exactly; a
+trajectory that reaches it is flagged ``saturated``.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from ._sampling import (
-    BATCH_STATE_CAP, binomial_brood, bulk_rows, divide, divide_rows, merge_rows, start_lanes,
+    BATCH_STATE_CAP, binomial_brood, bulk_rows, divide, ledger_step, merge_rows, start_lanes,
 )
 from .laws import (
     DegenerateMarginal,
@@ -90,10 +88,11 @@ class RegenerationEstimate:
 def simulate_path(
     k0: int, n: int, env: EnvironmentLaw, imm: ImmigrationPair, rng: np.random.Generator
 ) -> LineageTrajectory:
-    """Simulate n divisions starting from k0 parasites: a one-lane batch run."""
+    """Simulate n divisions starting from k0 parasites: ``batch_step`` on one lane."""
     # n is listed on its own so that a negative n is refused as a checkpoint
-    at = simulate_states_batch(k0, env, imm, rng, 1, [*range(n), n])
-    states = np.concatenate([at[t] for t in range(n + 1)])
+    steps = _checkpointed(start_lanes(k0, 1), [*range(n), n],
+                          lambda lane: batch_step(lane, env, imm, rng))
+    states = np.concatenate([lane for _, lane in steps])
     return LineageTrajectory(states=states, saturated=bool(states.max() >= BATCH_STATE_CAP))
 
 
@@ -242,25 +241,17 @@ def simulate_states_batch(
     k0: int, env: EnvironmentLaw, imm: ImmigrationPair, rng: np.random.Generator, n_paths: int,
     checkpoints: list[int],
 ) -> dict[int, np.ndarray]:
-    """States of n_paths independent paths at each checkpoint, in an order that follows no path."""
+    """Sorted states of n_paths independent paths at each checkpoint; no path can be followed."""
     brood = binomial_brood(env)
 
-    def advance(ledger):
-        values, counts = ledger  # counts None once on lanes
-        if counts is not None:
-            multi = bulk_rows(values, counts, brood, imm)
-            if 2 * int(counts[multi].sum()) >= n_paths:
-                lanes = np.repeat(values[~multi], counts[~multi])
-                lanes = batch_step(lanes, env, imm, rng) if lanes.size else lanes
-                _, kept, n_kept = divide_rows(values[multi], counts[multi], brood, imm, rng,
-                                              keep_one=True)
-                rows = np.zeros(lanes.size + kept.size, np.int64), np.concatenate((lanes, kept))
-                return merge_rows(*rows, np.concatenate((np.ones_like(lanes), n_kept)))[1:]
-            values = np.repeat(values, counts)
-        return batch_step(values, env, imm, rng), None
+    def advance(rows):
+        multi = bulk_rows(rows[1], rows[2], brood, imm)
+        return ledger_step(rows, multi, lambda lanes: batch_step(lanes, env, imm, rng), brood, imm,
+                           rng, keep_one=True)
 
-    ledgers = _checkpointed((start_lanes(k0, 1), np.array([n_paths])), checkpoints, advance)
-    return {t: v if c is None else np.repeat(v, c) for t, (v, c) in ledgers}
+    rows = np.zeros(1, np.int64), start_lanes(k0, 1), np.array([n_paths])
+    return {t: np.repeat(values, counts) for t, (_, values, counts)
+            in _checkpointed(rows, checkpoints, advance)}
 
 
 def simulate_normalized_batch(

@@ -12,8 +12,9 @@ The cells of a generation are independent given their mothers' counts (a
 bifurcating Markov chain), so a generation's ledger, the distinct counts and
 the number of cells holding each, is all the state a tree needs.
 ``iter_forest_bfs`` is the one engine: it advances many trees as ledger rows
-(run, value, count), and ``simulate_tree_bfs`` and ``simulate_tree_dfs`` are
-one-tree views that keep every ledger or only the last.  A tree is at most
+(run, value, count) through ``_sampling.ledger_step``, which the cell line
+shares, and ``simulate_tree_bfs`` and ``simulate_tree_dfs`` are one-tree
+views that keep every ledger or only the last.  A tree is at most
 62 generations deep (cell counts are int64), and a generation that would
 draw more than ``_ROW_BUDGET`` rows raises ``DepthTooLarge``.
 
@@ -34,7 +35,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ._sampling import (
-    BATCH_STATE_CAP, binomial_brood, bulk_rows, capped_sum, divide, divide_rows, merge_rows,
+    BATCH_STATE_CAP, binomial_brood, bulk_rows, capped_sum, divide, ledger_step,
     multinomial_counts, start_lanes,
 )
 from .laws import EnvironmentLaw, FiniteLaw, HeavyTailLaw, ImmigrationPair
@@ -114,27 +115,6 @@ def advance_generation(
     return divide(states, env, env.sample_indices(rng, states.size), imm, rng).T.ravel()
 
 
-def _next_generation(runs, values, counts, brood, env, imm, rng) -> tuple[np.ndarray, ...]:
-    """Ledger rows of every tree's next generation, from the rows of this one."""
-    multi = bulk_rows(values, counts, brood, imm)
-    alone = ~multi
-    z = brood[0] if brood else 0
-    drawn = int(counts[alone].sum()) + int(values[multi].sum()) * z + int(multi.sum())
-    if drawn > _ROW_BUDGET:
-        raise DepthTooLarge(f"a generation would draw {drawn} rows, over the budget {_ROW_BUDGET}")
-    cells = np.repeat(values[alone], counts[alone])
-    cells = advance_generation(cells, env, imm, rng) if cells.size else cells
-    row, bulk_values, bulk_counts = divide_rows(values[multi], counts[multi], brood, imm, rng)
-    if runs[-1] > 0:  # many trees: the cells divided one by one join the rows to merge
-        ids = np.concatenate((runs[multi][row], np.repeat(runs[alone], 2 * counts[alone])))
-        return merge_rows(ids, np.concatenate((bulk_values, cells)),
-                          np.concatenate((bulk_counts, np.ones_like(cells))))
-    cells = np.concatenate((cells, bulk_values))  # one tree: one np.unique sorts it fastest
-    values, counts = np.unique(cells, return_counts=True)
-    np.add.at(counts, np.searchsorted(values, bulk_values), bulk_counts - 1)
-    return np.zeros(values.size, np.int64), values, counts
-
-
 def iter_forest_bfs(
     k0: int, n_max: int, env: EnvironmentLaw, imm: ImmigrationPair, rng: np.random.Generator,
     n_runs: int,
@@ -143,22 +123,27 @@ def iter_forest_bfs(
 
     Yields (generation, runs, values, counts): run r holds counts[i] cells
     with values[i] parasites where runs[i] == r, sorted by run, then value.
-    A row of c cells at value v whose daughters' pair law Q_v is known in
-    closed form (v = 0 anywhere; every v in ``binomial_brood``'s cases)
-    and has fewer than c atoms draws its c pairs as one multinomial over
-    Q_v, and the daughters on each side draw contamination as one
-    multinomial per pre-contamination count when both laws are finite.
-    Every other row is divided cell by cell through ``advance_generation``.
+    Each generation is one ``_sampling.ledger_step``: ``divide_rows`` draws
+    the rows that ``bulk_rows`` picks in bulk, and every other row is
+    divided cell by cell through ``advance_generation``.
     """
     _check_depth(n_max)
     if n_runs < 1:
         raise ValueError(f"need at least one run, got {n_runs}")
-    runs, values, counts = np.arange(n_runs), start_lanes(k0, n_runs), np.ones(n_runs, np.int64)
-    yield 0, runs, values, counts
+    rows = np.arange(n_runs), start_lanes(k0, n_runs), np.ones(n_runs, np.int64)
+    yield 0, *rows
     brood = binomial_brood(env)
+    z = brood[0] if brood else 0
     for g in range(1, n_max + 1):
-        runs, values, counts = _next_generation(runs, values, counts, brood, env, imm, rng)
-        yield g, runs, values, counts
+        _, values, counts = rows
+        multi = bulk_rows(values, counts, brood, imm)
+        drawn = int(counts[~multi].sum()) + int(values[multi].sum()) * z + int(multi.sum())
+        if drawn > _ROW_BUDGET:
+            raise DepthTooLarge(
+                f"a generation would draw {drawn} rows, over the budget {_ROW_BUDGET}")
+        rows = ledger_step(rows, multi, lambda cells: advance_generation(cells, env, imm, rng),
+                           brood, imm, rng)
+        yield g, *rows
 
 
 def simulate_tree_bfs(

@@ -312,12 +312,44 @@ class TestCli:
             ("lineage", ("model", "environment"),
              {"builder": "explicit_bivariate", "components": [{"support": [[0.9, 1.6, 1.0]]}]},
              "model.environment.components[0].support must be an integer, got 0.9"),
+            ("lineage", ("model", "environment", "z", "values"), [True],
+             "model.environment.z.values must be an integer, got True"),
+            ("lineage", ("model", "k0"), True, "model.k0 must be an integer, got True"),
+            ("lineage", ("seed",), True, "seed must be an integer, got True"),
+            ("lineage", ("experiment", "n"), False, "experiment.n must be an integer, got False"),
+            ("tree", ("experiment", "replicates"), True,
+             "experiment.replicates must be an integer, got True"),
+            ("oracle", ("experiment", "K"), True, "experiment.K must be an integer, got True"),
+            ("lineage", ("model", "environment", "p_values"), {"uniform_grid": True},
+             "model.environment.p_values.uniform_grid must be an integer, got True"),
+            ("lineage", ("model", "environment", "z", "probs"), ["1.0"],
+             "model.environment.z.probs must be a number, got '1.0'"),
+            ("lineage", ("model", "environment", "z", "probs"), [True],
+             "model.environment.z.probs must be a number, got True"),
+            ("lineage", ("model", "environment", "z", "probs"), [float("nan")],
+             "bad finite law in model.environment.z: finite law: probabilities must lie in"),
+            ("lineage", ("model", "immigration", "y0", "probs"), ["0.5", 0.5],
+             "model.immigration.y0.probs must be a number, got '0.5'"),
+            ("lineage", ("model", "environment", "p_values"), [["0.5", "1"]],
+             "model.environment.p_values must be a number, got '0.5'"),
+            ("lineage", ("model", "environment", "p_values"), [[True, 1]],
+             "model.environment.p_values must be a number, got True"),
+            ("lineage", ("model", "environment"),
+             {"builder": "explicit_bivariate", "components": [{"support": [[0, 1, "1.0"]]}]},
+             "model.environment.components[0].support must be a number, got '1.0'"),
+            ("lineage", ("model", "environment"),
+             {"builder": "explicit_bivariate",
+              "components": [{"support": [[0, 1, 1.0]], "weight": "1"}]},
+             "model.environment.components[0].weight must be a number, got '1'"),
         ],
         ids=["p-value-not-a-pair", "grid-not-an-int", "z-values-not-a-list", "support-not-triples",
              "n-not-an-int", "immigration-not-an-object", "output-not-an-object",
              "budget-not-a-number", "budget-negative", "traversal-not-a-string",
              "quantities-not-a-list", "z-value-fractional", "z-value-a-string",
-             "support-atom-fractional"],
+             "support-atom-fractional", "z-value-a-bool", "k0-a-bool", "seed-a-bool",
+             "n-a-bool", "replicates-a-bool", "K-a-bool", "grid-a-bool", "prob-a-string",
+             "prob-a-bool", "prob-nan", "y0-prob-a-string", "p-value-a-string", "p-value-a-bool", "support-prob-a-string",
+             "weight-a-string"],
     )
     def test_wrong_json_type_exits_two(self, tmp_path, capsys, command, path, value, message):
         config = {

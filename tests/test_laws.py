@@ -268,6 +268,16 @@ class TestFiniteLaw:
         with pytest.raises(ValueError):
             FiniteLaw((1, 1), (0.5, 0.5))
 
+    @pytest.mark.parametrize("probs", [(math.nan, 1.0), (0.5, math.nan), (math.inf, 0.0)])
+    def test_rejects_nan_and_inf(self, probs):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            FiniteLaw((0, 1), probs)
+
+    def test_rejects_no_atoms(self):
+        # so the split builders never see an empty brood law
+        with pytest.raises(ValueError, match="at least one atom"):
+            FiniteLaw((), ())
+
     def test_geometric_truncated_mean(self):
         law = FiniteLaw.geometric_truncated(0.5, 20)
         exact = sum(v * p for v, p in zip(law.values, law.probs))

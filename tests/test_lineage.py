@@ -143,6 +143,17 @@ class TestSimulatePath:
         b = simulate_path(2, 40, env, imm, np.random.default_rng(99))
         assert np.array_equal(a.states, b.states)
 
+    @pytest.mark.parametrize("model", [critical_contaminated, heavy_tail_contaminated])
+    def test_states_replay_batch_step_on_one_lane(self, model):
+        env, imm = model()
+        rng, twin = np.random.default_rng(33), np.random.default_rng(33)
+        traj = simulate_path(2, 40, env, imm, rng)
+        states = [start_lanes(2, 1)]
+        for _ in range(40):
+            states.append(batch_step(states[-1], env, imm, twin))
+        assert np.array_equal(traj.states, np.concatenate(states))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
 
 class TestHittingTime:
     def test_immediate_return(self):
@@ -343,7 +354,7 @@ class TestBatchAgainstOracle:
 
 
 class TestLedger:
-    """The cell line advanced as rows (value, count) while its bulk rows hold most lanes."""
+    """The cell line advanced as rows (value, count), merged every step."""
 
     def test_one_bulk_step_matches_the_kernel_row(self, monkeypatch):
         # p = 0.3 makes the two daughters' laws differ: keeping the wrong side changes the law
@@ -360,32 +371,24 @@ class TestLedger:
         [(heavy_tail_contaminated, 0, 500), (critical_contaminated, 2, 1)],
         ids=["heavy-tail", "one-lane"],
     )
-    def test_lanes_from_the_first_step_replay_batch_step(self, model, k0, n_paths):
+    def test_rows_with_no_bulk_row_replay_batch_step(self, model, k0, n_paths):
+        # each step is batch_step over np.repeat of the last step's sorted rows: a sorted array
         env, imm = model()
         rng, twin = np.random.default_rng(31), np.random.default_rng(31)
         out = simulate_states_batch(k0, env, imm, rng, n_paths, [0, 5, 20])
         states = start_lanes(k0, n_paths)
         for t in range(1, 21):
-            states = batch_step(states, env, imm, twin)
+            states = np.sort(batch_step(states, env, imm, twin))
             if t in out:
                 assert np.array_equal(out[t], states)
         assert rng.bit_generator.state == twin.bit_generator.state
 
-    def test_run_crossing_to_lanes_keeps_every_path_and_the_law(self, monkeypatch):
+    def test_long_run_keeps_every_path_and_the_law(self):
         env, imm = critical_contaminated()
-        sizes = []
-
-        def recording_step(states, *model):
-            sizes.append(states.size)
-            return batch_step(states, *model)
-
-        monkeypatch.setattr(lineage, "batch_step", recording_step)
         n_paths, checkpoints = 20_000, [0, 3, 100, 300]
         out = simulate_states_batch(0, env, imm, np.random.default_rng(32), n_paths, checkpoints)
         assert list(out) == checkpoints
         assert all(out[t].size == n_paths and out[t].dtype == np.int64 for t in checkpoints)
-        switch = sizes.index(n_paths)  # bulk steps first, then every lane through batch_step
-        assert sizes[switch:] == [n_paths] * (len(sizes) - switch) and len(sizes) - switch < 300
         exact = propagate(build_kernel(env, imm, 64, overflow_budget=None), 0, 3)
         assert tv_distance(EmpiricalMeasure.from_samples(out[3]), exact) < 0.02
 

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cellbranch import tree
-from cellbranch._sampling import BATCH_STATE_CAP, binomial_brood, multinomial_counts
+from cellbranch._sampling import (
+    BATCH_STATE_CAP, binomial_brood, bulk_rows, ledger_step, multinomial_counts,
+)
 from cellbranch.config import ConfigError
 from cellbranch.experiments import TREE_DOMAIN, run_tree, substream
 from cellbranch.laws import (
@@ -25,7 +27,6 @@ from cellbranch.stats import EmptySeries, EmpiricalMeasure, tv_distance
 from cellbranch.tree import (
     DepthTooLarge,
     GenerationLedger,
-    _next_generation,
     advance_generation,
     collapsed_total_law,
     growth_exponent,
@@ -544,6 +545,13 @@ class TestLedgerTally:
         assert led.infected == 2**11
 
 
+def tree_step(rows, brood, env, imm, rng):
+    """One generation of the tree's rows through the shared ledger step."""
+    multi = bulk_rows(rows[1], rows[2], brood, imm)
+    return ledger_step(rows, multi, lambda cells: advance_generation(cells, env, imm, rng),
+                       brood, imm, rng)
+
+
 class TestLedgerEngine:
     """The forest advanced as (run, value, count) rows."""
 
@@ -566,7 +574,7 @@ class TestLedgerEngine:
         brood = binomial_brood(env)
         assert brood == (2, 0.3)
         rows = (np.zeros(2, dtype=np.int64), np.array([0, 3]), np.array([c, c]))
-        _, values, counts = _next_generation(*rows, brood, env, imm, rng)
+        _, values, counts = tree_step(rows, brood, env, imm, rng)
         bulk = EmpiricalMeasure.from_counts(dict(zip(values.tolist(), counts.tolist())))
         assert counts.sum() == 4 * c
         cells = advance_generation(np.repeat([0, 3], c), env, imm, rng)
@@ -579,7 +587,7 @@ class TestLedgerEngine:
         brood = binomial_brood(env)
         rows = (np.zeros(2, dtype=np.int64), np.array([0, 3]), np.array([2, 7]))
         rng, twin = np.random.default_rng(21), np.random.default_rng(21)
-        _next_generation(*rows, brood, env, ImmigrationPair.zero(), rng)
+        tree_step(rows, brood, env, ImmigrationPair.zero(), rng)
         advance_generation(np.full(7, 3), env, ImmigrationPair.zero(), twin)
         assert rng.bit_generator.state == twin.bit_generator.state
         assert binomial_brood(_split_env()) is None and binomial_brood(dying_env()) == (0, 0.5)
