@@ -32,7 +32,7 @@ for label, z_law, target in (
 ):
     env = build_binomial_split(z_law, [(0.5, 1.0)])
     totals = simulate_parasite_totals(env, imm, 0, 20, rng, n_runs=400)
-    fits = [growth_exponent(row).exponent for row in totals]
+    fits = growth_exponent(totals).exponent
     print(f"  {label}: fitted exponent {np.mean(fits):.4f}, expected {target:.4f}")
 
 print("\n== three-generation mean with quadrupling parasites ==")

@@ -72,8 +72,9 @@ def divide(
     Lane i's ``states[i]`` parasites reproduce through component
     ``comps[i]`` of ``env`` into two daughter rows.  A binomial split
     environment records ``env._split`` = (Z, each component's p) and is
-    drawn from it, all lanes at once: the brood total T, the sum of x iid Z,
-    is split as s0 ~ Bin(T, p), s1 = T - s0.  T is not capped, so each
+    drawn from it, all lanes at once: the brood total T, the sum of x iid Z
+    (x times a one-atom Z), is split as s0 ~ Bin(T, p), s1 = T - s0, with
+    one scalar p when there is one component.  T is not capped, so each
     daughter is exact or saturated on its own.  Other environments, and a
     split one whose x times the largest Z could pass int64, draw from the
     pair table ``env._atoms``: one multinomial of x trials per lane over its
@@ -82,15 +83,18 @@ def divide(
     keeps that daughter's row only, as the cell line follows one daughter.
     Each kept row saturates at ``BATCH_STATE_CAP``, then gets ``imm.y0``
     contamination where the mother was parasite-free and ``imm.y1``
-    elsewhere, each side drawn only when its law is not zero.  Returns an
-    int64 array of shape (2, len(states)), or (1, len(states)) with ``keep``.
+    elsewhere, each side drawn only when its law is not zero.  Returns the
+    (2, n) transpose of one int64 (cell, daughter) block of n lanes, or (1, n) with ``keep``.
     """
     split = env._split
     if split is not None and int(states.max(initial=0)) * split[0].max_value < 2**63:
         z, ps = split
-        total = multinomial_counts(rng, states, z._probs_arr) @ z._vals_arr
-        first = rng.binomial(total, ps[comps])
-        rows = np.stack((first, np.subtract(total, first, out=total)))
+        total = (states * z._vals_arr[0] if len(z.values) == 1
+                 else multinomial_counts(rng, states, z._probs_arr) @ z._vals_arr)
+        rows = np.empty((len(states), 2), np.int64)
+        rows[:, 0] = rng.binomial(total, ps[0] if len(ps) == 1 else ps[comps])
+        np.subtract(total, rows[:, 0], out=rows[:, 1])
+        rows = rows.T
     else:
         values, probs = env._atoms
         counts = multinomial_counts(rng, states, probs[comps] if len(probs) > 1 else probs)
@@ -188,17 +192,23 @@ def ledger_step(rows, multi, divide_cells, brood, imm, rng, keep_one=False) -> t
 
     ``divide_rows`` draws the rows in ``multi``, and ``divide_cells`` the cells of the others
     into two daughters each (the tree's ``advance_generation``) or, with ``keep_one``, one.
+    One run's daughters are sorted in place and cut where the value changes.
     """
     runs, values, counts = rows
     alone = ~multi
-    cells = np.repeat(values[alone], counts[alone])
+    cells = np.repeat(values, counts * alone)
     cells = divide_cells(cells) if cells.size else cells
     row, kept, n_kept = divide_rows(values[multi], counts[multi], brood, imm, rng, keep_one)
     if runs[-1:].any():  # many runs: the cells divided one by one join the rows to merge
         ids = np.repeat(runs[alone], (2 - keep_one) * counts[alone])
         return merge_rows(np.concatenate((runs[multi][row], ids)), np.concatenate((kept, cells)),
                           np.concatenate((n_kept, np.ones_like(cells))))
-    cells = np.concatenate((cells, kept))  # one run: one np.unique sorts it fastest
-    values, counts = np.unique(cells, return_counts=True)
+    if kept.size:
+        cells = np.concatenate((cells, kept))
+    cells.sort()
+    edge = np.ones(cells.size + 1, bool)  # True where a value starts, and at the end
+    np.not_equal(cells[1:], cells[:-1], out=edge[1:-1])
+    bounds = np.flatnonzero(edge)
+    values, counts = cells[bounds[:-1]], np.diff(bounds)
     np.add.at(counts, np.searchsorted(values, kept), n_kept - 1)
     return np.zeros(values.size, np.int64), values, counts

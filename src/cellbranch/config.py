@@ -87,6 +87,13 @@ def _real(value: Any, what: str) -> float:
     return float(value)
 
 
+def _entry(value: Any, size: int, what: str, shape: str) -> list:
+    """``value`` if it is a JSON list of ``size`` items; anything else is a ``ConfigError``."""
+    if type(value) is not list or len(value) != size:
+        raise ConfigError(f"{what} must be a {shape} list, got {value!r}")
+    return value
+
+
 def parse_count_law(payload: dict[str, Any], where: str):
     kind = _require(payload, "kind", where)
     if kind == "finite":
@@ -107,12 +114,9 @@ def _parse_p_values(payload: Any, where: str) -> list[tuple[float, float]]:
     if isinstance(payload, dict) and "uniform_grid" in payload:
         return uniform_grid_p(_integer(payload["uniform_grid"], f"{where}.p_values.uniform_grid"))
     if isinstance(payload, list):
-        out = []
-        for entry in payload:
-            if len(entry) != 2:
-                raise ConfigError(f"p_values entries in {where} must be [p, weight] pairs")
-            out.append(tuple(_real(x, f"{where}.p_values") for x in entry))
-        return out
+        return [tuple(_real(x, f"{where}.p_values")
+                      for x in _entry(entry, 2, f"{where}.p_values[{i}]", "[p, weight]"))
+                for i, entry in enumerate(payload)]
     raise ConfigError(f"p_values in {where} must be a list or {{'uniform_grid': n}}")
 
 
@@ -131,7 +135,8 @@ def parse_environment(payload: dict[str, Any]) -> EnvironmentLaw:
             comps = []
             for i, comp in enumerate(_require(payload, "components", where)):
                 at = f"{where}.components[{i}]"
-                triples = _require(comp, "support", at)
+                triples = [_entry(t, 3, f"{at}.support[{n}]", "[j, k, prob]")
+                           for n, t in enumerate(_require(comp, "support", at))]
                 support = tuple(((_integer(j, f"{at}.support"), _integer(k, f"{at}.support")),
                                  _real(p, f"{at}.support")) for j, k, p in triples)
                 weight = _real(comp.get("weight", 1.0), f"{at}.weight")

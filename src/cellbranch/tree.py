@@ -180,37 +180,48 @@ def infected_fraction_series(ledgers: Sequence[GenerationLedger]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GrowthFit:
-    """Least-squares growth exponent of a count series on the log scale."""
+    """Least-squares growth exponent of a count series, or of each row of many, on the log scale."""
 
-    exponent: float
+    exponent: float | np.ndarray
     window: tuple[int, int]
-    zero_censored: int
+    zero_censored: int | np.ndarray
 
 
-def growth_exponent(series: Sequence[int], window: tuple[int, int] | None = None) -> GrowthFit:
+def growth_exponent(
+    series: Sequence[int] | np.ndarray, window: tuple[int, int] | None = None
+) -> GrowthFit:
     """Exponential growth rate: least-squares slope of log counts against generation.
 
     ``window`` is a half-open generation range (start, stop), the last half of
     the generations by default: early generations are skipped because their
     small counts dominate the log scale otherwise.  Zero counts are excluded
-    from the fit and reported.
+    from the fit and reported.  A (runs, generations) array fits every row at
+    once, in closed form with zero counts weighted out; its ``exponent`` and
+    ``zero_censored`` are then arrays, one entry per row, and every row needs
+    two positive counts in the window.
     """
     arr = np.asarray(series, dtype=float)
     if arr.size == 0:
         raise EmptySeries("no generations to fit")
+    length = arr.shape[-1]
     if window is None:
-        window = (math.ceil((arr.size - 1) / 2), arr.size)
+        window = (math.ceil((length - 1) / 2), length)
     start, stop = window
-    if not 0 <= start < stop <= arr.size:
-        raise ValueError(f"window {window} outside series of length {arr.size}")
-    segment = arr[start:stop]
-    idx = np.arange(start, stop)
+    if not 0 <= start < stop <= length:
+        raise ValueError(f"window {window} outside series of length {length}")
+    segment = arr[..., start:stop]
     positive = segment > 0
-    censored = int((~positive).sum())
-    if positive.sum() < 2:
+    used = positive.sum(axis=-1)
+    if used.min() < 2:
         raise EmptySeries("fewer than two positive counts in the fit window")
-    coeffs = np.polyfit(idx[positive], np.log(segment[positive]), 1)
-    return GrowthFit(exponent=float(coeffs[0]), window=window, zero_censored=censored)
+    idx = np.arange(start, stop)
+    x = (idx - (positive @ idx / used)[..., None]) * positive  # centered on each row's fit points
+    y = np.log(segment, out=np.zeros_like(segment), where=positive)
+    slope = (x * y).sum(-1) / (x * x).sum(-1)
+    censored = stop - start - used
+    if arr.ndim == 1:
+        return GrowthFit(exponent=float(slope), window=window, zero_censored=int(censored))
+    return GrowthFit(exponent=slope, window=window, zero_censored=censored)
 
 
 def collapsed_total_law(env: EnvironmentLaw) -> FiniteLaw:

@@ -338,7 +338,7 @@ def check_growth_exponent(seed: int = DEFAULT_SEED) -> Iterator[_Verdict]:
     for tag, (name, (z_law, target)) in enumerate(cases.items()):
         env = build_binomial_split(z_law, [(0.5, 1.0)])
         totals = simulate_parasite_totals(env, imm, 0, 20, _rng(seed, 70 + tag), n_runs=1000)
-        fits = [growth_exponent(row).exponent for row in totals]
+        fits = growth_exponent(totals).exponent
         gap = abs(float(np.mean(fits)) - target)
         yield (
             f"growth-exponent/{name}",

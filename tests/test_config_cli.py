@@ -293,7 +293,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "command, path, value, message",
         [
-            ("lineage", ("model", "environment", "p_values"), [0.5], "bad environment"),
+            ("lineage", ("model", "environment", "p_values"), [0.5],
+             "model.environment.p_values[0] must be a [p, weight] list, got 0.5"),
             ("lineage", ("model", "environment", "p_values"), {"uniform_grid": 2.5}, "integer"),
             ("lineage", ("model", "environment", "z", "values"), 2, "bad environment"),
             ("lineage", ("model", "environment"),
@@ -341,6 +342,25 @@ class TestCli:
              {"builder": "explicit_bivariate",
               "components": [{"support": [[0, 1, 1.0]], "weight": "1"}]},
              "model.environment.components[0].weight must be a number, got '1'"),
+            ("lineage", ("model", "environment", "p_values"), [{"p": 0.5, "w": 1}],
+             "model.environment.p_values[0] must be a [p, weight] list, got {'p': 0.5, 'w': 1}"),
+            ("lineage", ("model", "environment", "p_values"), ["ab"],
+             "model.environment.p_values[0] must be a [p, weight] list, got 'ab'"),
+            ("lineage", ("model", "environment", "p_values"), [[0.5, 1.0], [0.5]],
+             "model.environment.p_values[1] must be a [p, weight] list, got [0.5]"),
+            ("lineage", ("model", "environment", "p_values"), [[0.5, 1.0, 2.0]],
+             "model.environment.p_values[0] must be a [p, weight] list, got [0.5, 1.0, 2.0]"),
+            ("lineage", ("model", "environment"),
+             {"builder": "explicit_bivariate",
+              "components": [{"support": [[0, 1, 0.5], [1, 0, 0.25], [1, 1]]}]},
+             "model.environment.components[0].support[2] must be a [j, k, prob] list, got [1, 1]"),
+            ("lineage", ("model", "environment"),
+             {"builder": "explicit_bivariate", "components": [{"support": [[0, 1, 1.0, 2]]}]},
+             "model.environment.components[0].support[0] must be a [j, k, prob] list"),
+            ("lineage", ("model", "environment"),
+             {"builder": "explicit_bivariate",
+              "components": [{"support": [{"j": 0, "k": 1, "p": 1.0}]}]},
+             "model.environment.components[0].support[0] must be a [j, k, prob] list"),
         ],
         ids=["p-value-not-a-pair", "grid-not-an-int", "z-values-not-a-list", "support-not-triples",
              "n-not-an-int", "immigration-not-an-object", "output-not-an-object",
@@ -349,7 +369,9 @@ class TestCli:
              "support-atom-fractional", "z-value-a-bool", "k0-a-bool", "seed-a-bool",
              "n-a-bool", "replicates-a-bool", "K-a-bool", "grid-a-bool", "prob-a-string",
              "prob-a-bool", "prob-nan", "y0-prob-a-string", "p-value-a-string", "p-value-a-bool", "support-prob-a-string",
-             "weight-a-string"],
+             "weight-a-string", "p-value-an-object", "p-value-a-two-letter-string",
+             "p-value-short-second-entry", "p-value-a-triple", "support-short-third-entry",
+             "support-entry-of-four", "support-entry-an-object"],
     )
     def test_wrong_json_type_exits_two(self, tmp_path, capsys, command, path, value, message):
         config = {

@@ -1,14 +1,15 @@
 """Binary-tree population checks: ledger exactness, traversal law equality."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from cellbranch import tree
+from cellbranch import _sampling, tree
 from cellbranch._sampling import (
-    BATCH_STATE_CAP, binomial_brood, bulk_rows, ledger_step, multinomial_counts,
+    BATCH_STATE_CAP, binomial_brood, bulk_rows, divide_rows, ledger_step, multinomial_counts,
 )
 from cellbranch.config import ConfigError
 from cellbranch.experiments import TREE_DOMAIN, run_tree, substream
@@ -22,7 +23,7 @@ from cellbranch.laws import (
 )
 from cellbranch.lineage import batch_step, simulate_path, simulate_states_batch
 from cellbranch.oracle import build_kernel, propagate, stationary_solve, survival_no_immigration
-from cellbranch.presets import split_environment, subcritical_binomial
+from cellbranch.presets import dying_environment, split_environment, subcritical_binomial
 from cellbranch.stats import EmptySeries, EmpiricalMeasure, tv_distance
 from cellbranch.tree import (
     DepthTooLarge,
@@ -178,6 +179,25 @@ class TestSplitDraws:
         s0 = twin.binomial(total, np.array([0.3, 0.8])[comps])
         assert rng.bit_generator.state == twin.bit_generator.state
         assert list(children) == list(np.column_stack((s0, total - s0)).ravel())
+
+    @pytest.mark.parametrize("p", [0.3, 0.5])
+    @pytest.mark.parametrize("z", [FiniteLaw.delta(4), FiniteLaw((1, 3), (0.5, 0.5))],
+                             ids=["one-atom", "two-atom"])
+    def test_one_component_draws_the_per_cell_p_stream(self, z, p):
+        # one component draws Bin(T, p) with a scalar p: the same stream as a per-cell p array,
+        # for small totals (inversion) and large ones (BTPE) alike
+        env = build_binomial_split(z, [(p, 1.0)])
+        cells = np.arange(4000) % 400 * 25
+        for step in (advance_generation, batch_step):
+            rng, twin = np.random.default_rng(31), np.random.default_rng(31)
+            out = step(cells, env, ImmigrationPair.zero(), rng)
+            sides = twin.integers(0, 2, size=cells.size) if step is batch_step else None
+            total = multinomial_counts(twin, cells, z._probs_arr) @ z._vals_arr
+            s0 = twin.binomial(total, np.full(cells.size, p))
+            pairs = np.column_stack((s0, total - s0))
+            expected = pairs.ravel() if sides is None else pairs[np.arange(cells.size), sides]
+            assert out.tolist() == expected.tolist()
+            assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_joint_daughters_match_the_convolved_pair_law(self):
         rng = np.random.default_rng(8)
@@ -508,6 +528,32 @@ class TestGrowthExponent:
         with pytest.raises(EmptySeries):
             growth_exponent([4, 2, 1, 0, 0, 0, 0])
 
+    def test_rows_fit_at_once_as_one_by_one(self):
+        rng = np.random.default_rng(15)
+        series = rng.integers(1, 50, size=(40, 16)) * np.exp2(np.arange(16))
+        series[0, 12] = series[1, 9:11] = series[2, 3] = 0  # the last zero is outside the window
+        fit = growth_exponent(series, window=(8, 16))
+        assert fit.window == (8, 16) and fit.exponent.shape == (40,)
+        for row, exponent, censored in zip(series, fit.exponent, fit.zero_censored):
+            one = growth_exponent(row, window=(8, 16))
+            assert exponent == pytest.approx(one.exponent, abs=1e-12)
+            assert censored == one.zero_censored == (row[8:] == 0).sum()
+            idx = np.flatnonzero(row[8:]) + 8
+            assert exponent == pytest.approx(np.polyfit(idx, np.log(row[idx]), 1)[0], abs=1e-12)
+        assert fit.zero_censored[:4].tolist() == [1, 2, 0, 0]
+
+    def test_rows_default_window_is_the_last_half(self):
+        series = np.array([[2.0**n for n in range(11)], [3.0**n for n in range(11)]])
+        fit = growth_exponent(series)
+        assert fit.window == (5, 11) and fit.zero_censored.tolist() == [0, 0]
+        assert fit.exponent == pytest.approx([math.log(2), math.log(3)], abs=1e-12)
+
+    def test_rows_need_two_positive_counts_each(self):
+        with pytest.raises(EmptySeries):
+            growth_exponent(np.array([[1, 2, 4, 8], [1, 2, 4, 0]]), window=(2, 4))
+        with pytest.raises(EmptySeries):
+            growth_exponent(np.zeros((0, 5)))
+
     def test_exponent_near_log3_for_tripling_population(self):
         env = build_binomial_split(FiniteLaw.delta(3), [(0.5, 1.0)])
         imm = ImmigrationPair(FiniteLaw.bernoulli(0.5), FiniteLaw.bernoulli(0.5))
@@ -543,6 +589,11 @@ class TestLedgerTally:
         led = GenerationLedger(11, np.array([BATCH_STATE_CAP]), np.array([2**11]))
         assert led.parasites_total == 2**64
         assert led.infected == 2**11
+
+
+# parasite counts for the merge: small ones that collide, the two ends, and any in between
+_merge_values = st.one_of(st.integers(0, 8), st.sampled_from([0, BATCH_STATE_CAP]),
+                          st.integers(0, BATCH_STATE_CAP))
 
 
 def tree_step(rows, brood, env, imm, rng):
@@ -625,6 +676,57 @@ class TestLedgerEngine:
         rng = np.random.default_rng(24)
         with pytest.raises(DepthTooLarge, match="budget"):
             simulate_tree_bfs(1, 20, split_environment(4), ImmigrationPair.zero(), rng)
+
+    @given(
+        cells=st.lists(_merge_values, max_size=40),
+        kept=st.lists(st.tuples(_merge_values, st.integers(1, 2**40)), max_size=40),
+    )
+    @example(cells=[3, 3, 0], kept=[(BATCH_STATE_CAP, 5), (7, 1), (3, 2)])
+    @example(cells=[], kept=[(0, 4), (BATCH_STATE_CAP, 2), (0, 1)])
+    @example(cells=[BATCH_STATE_CAP, 0, 0], kept=[])
+    @settings(max_examples=200, deadline=None)
+    def test_one_run_merge_equals_unique_and_add_at(self, cells, kept):
+        assume(cells or kept)
+        cells = np.array(cells, dtype=np.int64)
+        values = np.array([v for v, _ in kept], dtype=np.int64)
+        n_kept = np.array([n for _, n in kept], dtype=np.int64)
+        expected, counts = np.unique(np.concatenate((cells, values)), return_counts=True)
+        np.add.at(counts, np.searchsorted(expected, values), n_kept - 1)
+        # a row whose cells each keep one daughter, from ``cells``, and a bulk row drawn as
+        # ``kept``; with no cells, every row is a bulk row and none is divided one by one
+        rows = np.zeros(2, np.int64), np.array([1, 2]), np.array([max(cells.size, 1), 1])
+        multi = np.array([not cells.size, True])
+        drawn = [np.zeros(values.size, np.int64), values, n_kept]
+        with mock.patch.object(_sampling, "divide_rows", lambda *args, **kwargs: drawn):
+            runs, got, got_counts = ledger_step(rows, multi, lambda _: cells.copy(), None,
+                                                ImmigrationPair.zero(), None, keep_one=True)
+        assert got.tolist() == expected.tolist() and got_counts.tolist() == counts.tolist()
+        assert not runs.any() and runs.size == got.size
+
+    def test_contamination_past_the_cap_saturates_in_bulk_rows(self, monkeypatch):
+        # Y0 puts 2^53 + 5 parasites into a free mother's daughters.  Once the v = 0 row holds
+        # two cells it is a bulk row, so the clip at 2^53 happens inside divide_rows
+        imm = ImmigrationPair(FiniteLaw((0, 2**53 + 5), (0.5, 0.5)), FiniteLaw((0, 3), (0.5, 0.5)))
+        env = dying_environment()
+        drawn = []
+
+        def spy(values, *args, **kwargs):
+            out = divide_rows(values, *args, **kwargs)
+            drawn.append((values, out[1]))
+            return out
+
+        monkeypatch.setattr(_sampling, "divide_rows", spy)
+        rng = np.random.default_rng(27)
+        for g, _, values, counts in iter_forest_bfs(0, 6, env, imm, rng, 1):
+            assert values.max() <= BATCH_STATE_CAP and counts.min() > 0
+            assert counts.sum() == 2**g
+        assert values.max() == BATCH_STATE_CAP
+        assert any((v == 0).any() and (d == BATCH_STATE_CAP).any() for v, d in drawn)
+        drawn.clear()
+        states = simulate_states_batch(0, env, imm, rng, 64, list(range(7)))
+        for t in range(1, 7):
+            assert states[t].size == 64 and states[t].max() == BATCH_STATE_CAP
+        assert any((v == 0).any() and (d == BATCH_STATE_CAP).any() for v, d in drawn)
 
     def test_many_runs_with_values_near_the_cap(self):
         # 1024 runs times 2^53 + 1 values pass int64: the rows sort on value ranks
