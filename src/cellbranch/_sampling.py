@@ -13,6 +13,14 @@ if TYPE_CHECKING:
 # Batch states saturate here: float64 still counts exactly up to 2**53.
 BATCH_STATE_CAP = 2**53
 
+# draws one tree generation may make: each cell divided on its own, and each
+# category of a pair table drawn as one multinomial
+_ROW_BUDGET = 2**22
+
+
+class DepthTooLarge(ValueError):
+    """Requested tree depth, or one generation's draws, exceeds the tree's bound."""
+
 
 def start_lanes(k0: int, n: int) -> np.ndarray:
     """n copies of the start state k0, which must be nonnegative."""
@@ -102,10 +110,10 @@ def divide(
     if keep is not None:
         rows = np.choose(keep, rows)[None]
     np.minimum(rows, BATCH_STATE_CAP, out=rows)
+    if imm.is_zero_pair:
+        return rows
     free = states == 0
     sides = [(mask, law) for mask, law in ((free, imm.y0), (~free, imm.y1)) if not law.is_zero]
-    if not sides:
-        return rows
     draws = np.zeros(len(states), dtype=np.int64)
     for row in rows:
         for mask, law in sides:
@@ -187,20 +195,30 @@ def divide_rows(values, counts, brood, imm, rng, keep_one=False) -> list[np.ndar
     return [np.concatenate(x) for x in zip(*parts)]
 
 
-def ledger_step(rows, multi, divide_cells, brood, imm, rng, keep_one=False) -> tuple:
+def ledger_step(rows, env, imm, rng, divide_cells, keep_one=False) -> tuple:
     """Rows (run, value, count) sorted by run, then value, one division on.
 
-    ``divide_rows`` draws the rows in ``multi``, and ``divide_cells`` the cells of the others
-    into two daughters each (the tree's ``advance_generation``) or, with ``keep_one``, one.
-    One run's daughters are sorted in place and cut where the value changes.
+    ``divide_rows`` draws the rows that ``bulk_rows`` picks, and ``divide_cells`` the cells
+    of the others into two daughters each (the tree's ``advance_generation``) or, with
+    ``keep_one``, one.  A step that keeps both daughters raises ``DepthTooLarge`` before any
+    draw when it would draw more than ``_ROW_BUDGET`` rows; a keep-one step never draws more
+    rows than it holds paths.  One run's daughters are sorted in place and cut where the
+    value changes.
     """
     runs, values, counts = rows
-    alone = ~multi
-    cells = np.repeat(values, counts * alone)
+    brood = binomial_brood(env)
+    multi = bulk_rows(values, counts, brood, imm)
+    alone = counts * ~multi
+    if not keep_one:  # each cell alone, and each bulk row's Bin(vz, p) atoms
+        z = brood[0] if brood else 0
+        drawn = int(alone.sum()) + int(values[multi].sum()) * z + int(multi.sum())
+        if drawn > _ROW_BUDGET:
+            raise DepthTooLarge(f"a generation would draw {drawn} rows, over budget {_ROW_BUDGET}")
+    cells = np.repeat(values, alone)
     cells = divide_cells(cells) if cells.size else cells
     row, kept, n_kept = divide_rows(values[multi], counts[multi], brood, imm, rng, keep_one)
     if runs[-1:].any():  # many runs: the cells divided one by one join the rows to merge
-        ids = np.repeat(runs[alone], (2 - keep_one) * counts[alone])
+        ids = np.repeat(runs, (2 - keep_one) * alone)
         return merge_rows(np.concatenate((runs[multi][row], ids)), np.concatenate((kept, cells)),
                           np.concatenate((n_kept, np.ones_like(cells))))
     if kept.size:

@@ -29,9 +29,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from ._sampling import (
-    BATCH_STATE_CAP, binomial_brood, bulk_rows, divide, ledger_step, merge_rows, start_lanes,
-)
+from ._sampling import BATCH_STATE_CAP, divide, ledger_step, merge_rows, start_lanes
 from .laws import (
     DegenerateMarginal,
     EnvironmentLaw,
@@ -242,12 +240,9 @@ def simulate_states_batch(
     checkpoints: list[int],
 ) -> dict[int, np.ndarray]:
     """Sorted states of n_paths independent paths at each checkpoint; no path can be followed."""
-    brood = binomial_brood(env)
-
     def advance(rows):
-        multi = bulk_rows(rows[1], rows[2], brood, imm)
-        return ledger_step(rows, multi, lambda lanes: batch_step(lanes, env, imm, rng), brood, imm,
-                           rng, keep_one=True)
+        return ledger_step(rows, env, imm, rng, lambda lanes: batch_step(lanes, env, imm, rng),
+                           keep_one=True)
 
     rows = np.zeros(1, np.int64), start_lanes(k0, 1), np.array([n_paths])
     return {t: np.repeat(values, counts) for t, (_, values, counts)

@@ -12,11 +12,13 @@ The cells of a generation are independent given their mothers' counts (a
 bifurcating Markov chain), so a generation's ledger, the distinct counts and
 the number of cells holding each, is all the state a tree needs.
 ``iter_forest_bfs`` is the one engine: it advances many trees as ledger rows
-(run, value, count) through ``_sampling.ledger_step``, which the cell line
-shares, and ``simulate_tree_bfs`` and ``simulate_tree_dfs`` are one-tree
-views that keep every ledger or only the last.  A tree is at most
-62 generations deep (cell counts are int64), and a generation that would
-draw more than ``_ROW_BUDGET`` rows raises ``DepthTooLarge``.
+(run, value, count), one call of ``_sampling.ledger_step`` per generation,
+which the cell line shares; ``simulate_tree_bfs`` and ``simulate_tree_dfs``
+are one-tree views that keep every ledger or only the last.  The step picks
+the rows it draws in bulk and divides the others cell by cell through
+``advance_generation``.  A tree is at most 62 generations deep (cell counts
+are int64), and a generation that would draw more than
+``_sampling._ROW_BUDGET`` rows raises ``DepthTooLarge`` before any draw.
 
 The total parasite count across a generation is itself a Markov chain
 whenever each parasite's total brood size has the same law in every realized
@@ -34,23 +36,15 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._sampling import (
-    BATCH_STATE_CAP, binomial_brood, bulk_rows, capped_sum, divide, ledger_step,
-    multinomial_counts, start_lanes,
+from ._sampling import (  # DepthTooLarge is re-exported as the tree's depth error
+    BATCH_STATE_CAP, DepthTooLarge, capped_sum, divide, ledger_step, multinomial_counts,
+    start_lanes,
 )
 from .laws import EnvironmentLaw, FiniteLaw, HeavyTailLaw, ImmigrationPair
 from .stats import EmptySeries
 
 # a generation's 2^n cells are counted in int64
 _MAX_DEPTH = 62
-
-# draws one generation may make: each cell divided on its own, and each
-# category of a pair table drawn as one multinomial
-_ROW_BUDGET = 2**22
-
-
-class DepthTooLarge(ValueError):
-    """Requested tree depth, or one generation's draws, exceeds the tree's bound."""
 
 
 def _check_depth(n: int) -> None:
@@ -123,26 +117,18 @@ def iter_forest_bfs(
 
     Yields (generation, runs, values, counts): run r holds counts[i] cells
     with values[i] parasites where runs[i] == r, sorted by run, then value.
-    Each generation is one ``_sampling.ledger_step``: ``divide_rows`` draws
-    the rows that ``bulk_rows`` picks in bulk, and every other row is
-    divided cell by cell through ``advance_generation``.
+    Each generation is one ``_sampling.ledger_step``, which picks the rows it
+    draws in bulk, bounds the generation's draws and divides every other row
+    cell by cell through ``advance_generation``.
     """
     _check_depth(n_max)
     if n_runs < 1:
         raise ValueError(f"need at least one run, got {n_runs}")
     rows = np.arange(n_runs), start_lanes(k0, n_runs), np.ones(n_runs, np.int64)
     yield 0, *rows
-    brood = binomial_brood(env)
-    z = brood[0] if brood else 0
     for g in range(1, n_max + 1):
-        _, values, counts = rows
-        multi = bulk_rows(values, counts, brood, imm)
-        drawn = int(counts[~multi].sum()) + int(values[multi].sum()) * z + int(multi.sum())
-        if drawn > _ROW_BUDGET:
-            raise DepthTooLarge(
-                f"a generation would draw {drawn} rows, over the budget {_ROW_BUDGET}")
-        rows = ledger_step(rows, multi, lambda cells: advance_generation(cells, env, imm, rng),
-                           brood, imm, rng)
+        rows = ledger_step(rows, env, imm, rng,
+                           lambda cells: advance_generation(cells, env, imm, rng))
         yield g, *rows
 
 

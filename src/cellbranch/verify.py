@@ -55,7 +55,6 @@ from .tree import (
     iter_forest_bfs,
     simulate_parasite_totals,
     simulate_tree_bfs,
-    simulate_tree_dfs,
 )
 
 DEFAULT_SEED = 20250801
@@ -126,31 +125,32 @@ def check_renewal_identity(seed: int = DEFAULT_SEED) -> Iterator[_Verdict]:
 
 
 def check_stationary_tree(seed: int = DEFAULT_SEED) -> Iterator[_Verdict]:
-    """Deep-generation leaf histogram vs regeneration vs kernel stationary law."""
+    """Deep-generation leaf histogram vs regeneration vs kernel stationary law.
+
+    One 200-tree forest gives both reads: its leaves at generation 16, pooled,
+    and each tree's proportions at generation 8 against their exact means.
+    """
     env, imm = subcritical_binomial()
     kernel = build_kernel(env, imm, 512)
     exact = stationary_solve(kernel)
-    rng = _rng(seed, 30)
-    leaf_counts: dict[int, int] = {}
-    for _ in range(200):
-        simulate_tree_dfs(0, 16, env, imm, rng, accumulator=leaf_counts)
-    dfs_measure = EmpiricalMeasure.from_counts(leaf_counts)
+    exact8 = propagate(kernel, 0, 8)
+    n_trees = 200
+    for g, runs, values, counts in iter_forest_bfs(0, 16, env, imm, _rng(seed, 30), n_trees):
+        if g == 8:
+            per_tree = {
+                k: np.bincount(runs, counts * (values == k), minlength=n_trees) / 2**8
+                for k in np.flatnonzero(exact8.probs > 1e-4)
+            }
+    leaves = EmpiricalMeasure.from_counts(dict(enumerate(np.bincount(values, counts))))
     est = stationary_by_regeneration(env, imm, _rng(seed, 31), excursions=10**5)
     tvs = {
-        "dfs-vs-kernel": tv_distance(dfs_measure, exact.pmf),
-        "dfs-vs-regeneration": tv_distance(dfs_measure, est.measure),
+        "dfs-vs-kernel": tv_distance(leaves, exact.pmf),
+        "dfs-vs-regeneration": tv_distance(leaves, est.measure),
         "regeneration-vs-kernel": tv_distance(est.measure, exact.pmf),
     }
     for pair, tv in tvs.items():
         yield f"stationary-tree/{pair}", tv < 0.05, f"TV = {tv:.4f}", "< 0.05"
 
-    exact8 = propagate(kernel, 0, 8)
-    n_trees = 200
-    *_, (_, runs, values, counts) = iter_forest_bfs(0, 8, env, imm, _rng(seed, 32), n_trees)
-    per_tree = {
-        k: np.bincount(runs, counts * (values == k), minlength=n_trees) / 2**8
-        for k in np.flatnonzero(exact8.probs > 1e-4)
-    }
     worst = 0.0
     ok = True
     for k, fractions in per_tree.items():
@@ -413,17 +413,13 @@ def check_clt_stabilization(seed: int = DEFAULT_SEED) -> Iterator[_Verdict]:
     env, imm = toy_chain()
     f0 = float(stationary_solve(build_kernel(env, imm, 64)).pmf[0])
     n_runs = 200
-    block = 50
-    checkpoints = (8, 12, 16)
-    samples: dict[int, list[float]] = {n: [] for n in checkpoints}
-    for b in range(n_runs // block):
-        rng = _rng(seed, 90 + b)
-        cum_zero = np.zeros(block)
-        for g, runs, values, counts in iter_forest_bfs(0, 16, env, imm, rng, block):
-            cum_zero += np.bincount(runs, counts * (values == 0), minlength=block)
-            if g in checkpoints:
-                samples[g].extend((cum_zero / 2 ** (g + 1)).tolist())
-    report = sqrtn_stabilization({n: samples[n] for n in checkpoints}, f0)
+    samples: dict[int, np.ndarray] = {}
+    cum_zero = np.zeros(n_runs)
+    for g, runs, values, counts in iter_forest_bfs(0, 16, env, imm, _rng(seed, 90), n_runs):
+        cum_zero += np.bincount(runs, counts * (values == 0), minlength=n_runs)
+        if g in (8, 12, 16):
+            samples[g] = cum_zero / 2 ** (g + 1)
+    report = sqrtn_stabilization(samples, f0)
     yield (
         "clt-stabilization/centering",
         report.mean_consistent_with_zero,

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from cellbranch import _sampling, tree
+from cellbranch import _sampling, lineage
 from cellbranch._sampling import (
-    BATCH_STATE_CAP, binomial_brood, bulk_rows, divide_rows, ledger_step, multinomial_counts,
+    BATCH_STATE_CAP, binomial_brood, divide_rows, ledger_step, multinomial_counts,
 )
 from cellbranch.config import ConfigError
 from cellbranch.experiments import TREE_DOMAIN, run_tree, substream
@@ -23,7 +23,9 @@ from cellbranch.laws import (
 )
 from cellbranch.lineage import batch_step, simulate_path, simulate_states_batch
 from cellbranch.oracle import build_kernel, propagate, stationary_solve, survival_no_immigration
-from cellbranch.presets import dying_environment, split_environment, subcritical_binomial
+from cellbranch.presets import (
+    dying_environment, heavy_tail_contaminated, split_environment, subcritical_binomial,
+)
 from cellbranch.stats import EmptySeries, EmpiricalMeasure, tv_distance
 from cellbranch.tree import (
     DepthTooLarge,
@@ -596,11 +598,9 @@ _merge_values = st.one_of(st.integers(0, 8), st.sampled_from([0, BATCH_STATE_CAP
                           st.integers(0, BATCH_STATE_CAP))
 
 
-def tree_step(rows, brood, env, imm, rng):
+def tree_step(rows, env, imm, rng):
     """One generation of the tree's rows through the shared ledger step."""
-    multi = bulk_rows(rows[1], rows[2], brood, imm)
-    return ledger_step(rows, multi, lambda cells: advance_generation(cells, env, imm, rng),
-                       brood, imm, rng)
+    return ledger_step(rows, env, imm, rng, lambda cells: advance_generation(cells, env, imm, rng))
 
 
 class TestLedgerEngine:
@@ -622,10 +622,9 @@ class TestLedgerEngine:
         exact = self.exact_daughters(0.3)
         rng = np.random.default_rng(20)
         c = 20_000
-        brood = binomial_brood(env)
-        assert brood == (2, 0.3)
+        assert binomial_brood(env) == (2, 0.3)
         rows = (np.zeros(2, dtype=np.int64), np.array([0, 3]), np.array([c, c]))
-        _, values, counts = tree_step(rows, brood, env, imm, rng)
+        _, values, counts = tree_step(rows, env, imm, rng)
         bulk = EmpiricalMeasure.from_counts(dict(zip(values.tolist(), counts.tolist())))
         assert counts.sum() == 4 * c
         cells = advance_generation(np.repeat([0, 3], c), env, imm, rng)
@@ -635,10 +634,9 @@ class TestLedgerEngine:
     def test_rows_drawn_in_bulk_only_past_the_support(self):
         # a row of 7 cells at v = 3 meets Bin(6, p)'s 7 atoms: divided cell by cell
         env = split_environment(2)
-        brood = binomial_brood(env)
         rows = (np.zeros(2, dtype=np.int64), np.array([0, 3]), np.array([2, 7]))
         rng, twin = np.random.default_rng(21), np.random.default_rng(21)
-        tree_step(rows, brood, env, ImmigrationPair.zero(), rng)
+        tree_step(rows, env, ImmigrationPair.zero(), rng)
         advance_generation(np.full(7, 3), env, ImmigrationPair.zero(), twin)
         assert rng.bit_generator.state == twin.bit_generator.state
         assert binomial_brood(_split_env()) is None and binomial_brood(dying_env()) == (0, 0.5)
@@ -672,10 +670,36 @@ class TestLedgerEngine:
             next(iter_forest_bfs(1, 3, sub_env(), toy_imm(), np.random.default_rng(26), 0))
 
     def test_generation_over_the_row_budget_raises(self, monkeypatch):
-        monkeypatch.setattr(tree, "_ROW_BUDGET", 2**10)
+        monkeypatch.setattr(_sampling, "_ROW_BUDGET", 2**10)
         rng = np.random.default_rng(24)
         with pytest.raises(DepthTooLarge, match="budget"):
             simulate_tree_bfs(1, 20, split_environment(4), ImmigrationPair.zero(), rng)
+
+    def test_row_budget_binds_only_steps_that_keep_both_daughters(self, monkeypatch):
+        # heavy-tail contamination has no atom table, so every lane is divided one by one
+        monkeypatch.setattr(_sampling, "_ROW_BUDGET", 2**10)
+        divided = []
+
+        def spy(lanes, *args, **kwargs):
+            divided.append(lanes.size)
+            return batch_step(lanes, *args, **kwargs)
+
+        monkeypatch.setattr(lineage, "batch_step", spy)
+        env, imm = heavy_tail_contaminated()
+        states = simulate_states_batch(0, env, imm, np.random.default_rng(28), 4096, [6])
+        assert states[6].size == 4096 and len(divided) == 6 and min(divided) > 2**10
+        assert DepthTooLarge is _sampling.DepthTooLarge
+        with pytest.raises(DepthTooLarge, match="budget"):
+            simulate_tree_bfs(1, 20, split_environment(4), ImmigrationPair.zero(),
+                              np.random.default_rng(24))
+
+    def test_first_generations_do_not_depend_on_the_depth(self):
+        env, imm = subcritical_binomial()
+        deep = iter_forest_bfs(0, 16, env, imm, np.random.default_rng(29), 200)
+        shallow = list(iter_forest_bfs(0, 8, env, imm, np.random.default_rng(29), 200))
+        for (g, *rows), (h, *twin) in zip(deep, shallow):
+            assert g == h and all(np.array_equal(a, b) for a, b in zip(rows, twin))
+        assert g == 8
 
     @given(
         cells=st.lists(_merge_values, max_size=40),
@@ -697,9 +721,10 @@ class TestLedgerEngine:
         rows = np.zeros(2, np.int64), np.array([1, 2]), np.array([max(cells.size, 1), 1])
         multi = np.array([not cells.size, True])
         drawn = [np.zeros(values.size, np.int64), values, n_kept]
-        with mock.patch.object(_sampling, "divide_rows", lambda *args, **kwargs: drawn):
-            runs, got, got_counts = ledger_step(rows, multi, lambda _: cells.copy(), None,
-                                                ImmigrationPair.zero(), None, keep_one=True)
+        with mock.patch.object(_sampling, "divide_rows", lambda *args, **kwargs: drawn), \
+                mock.patch.object(_sampling, "bulk_rows", lambda *args: multi):
+            runs, got, got_counts = ledger_step(rows, split_environment(2), ImmigrationPair.zero(),
+                                                None, lambda _: cells.copy(), keep_one=True)
         assert got.tolist() == expected.tolist() and got_counts.tolist() == counts.tolist()
         assert not runs.any() and runs.size == got.size
 
