@@ -23,9 +23,9 @@ class DepthTooLarge(ValueError):
 
 
 def start_lanes(k0: int, n: int) -> np.ndarray:
-    """n copies of the start state k0, which must be nonnegative."""
-    if k0 < 0:
-        raise ValueError(f"start state {k0} must be nonnegative")
+    """n copies of the start state k0, which must lie in [0, ``BATCH_STATE_CAP``]."""
+    if not 0 <= k0 <= BATCH_STATE_CAP:
+        raise ValueError(f"start state {k0} must be nonnegative and at most {BATCH_STATE_CAP}")
     return np.full(n, k0, dtype=np.int64)
 
 
@@ -122,20 +122,6 @@ def divide(
     return np.minimum(rows, BATCH_STATE_CAP, out=rows)
 
 
-def binomial_brood(env: EnvironmentLaw) -> tuple[int, float] | None:
-    """(z, p) when a cell's v parasites split between its daughters as Bin(vz, p).
-
-    That is the dying environment (z = 0) and a one-component binomial split
-    of a one-atom brood z with 0 < p < 1; any other environment gives None.
-    """
-    if not env._atoms[0].any():
-        return 0, 0.5
-    split = env._split
-    if split is None or len(split[1]) > 1 or len(split[0].values) > 1:
-        return None
-    return (split[0].values[0], float(split[1][0])) if 0 < split[1][0] < 1 else None
-
-
 def bulk_rows(values: np.ndarray, counts: np.ndarray, brood, imm: ImmigrationPair) -> np.ndarray:
     """Rows of c cells at v that ``divide_rows`` draws: Q_v known, with fewer than c atoms."""
     z = brood[0] if brood else 0
@@ -190,7 +176,7 @@ def divide_rows(values, counts, brood, imm, rng, keep_one=False) -> list[np.ndar
     for mask, law in ((free, imm.y0), (~free, imm.y1)):
         draws = multinomial_counts(rng, kept[mask], law._probs_arr)
         i, j = np.nonzero(draws)
-        daughters = np.minimum(pre[mask][i] + law._vals_arr[j], BATCH_STATE_CAP)
+        daughters = np.minimum(pre[mask][i] + law._draws[j], BATCH_STATE_CAP)
         parts.append((row[mask][i], daughters, draws[i, j]))
     return [np.concatenate(x) for x in zip(*parts)]
 
@@ -206,7 +192,7 @@ def ledger_step(rows, env, imm, rng, divide_cells, keep_one=False) -> tuple:
     value changes.
     """
     runs, values, counts = rows
-    brood = binomial_brood(env)
+    brood = env._brood
     multi = bulk_rows(values, counts, brood, imm)
     alone = counts * ~multi
     if not keep_one:  # each cell alone, and each bulk row's Bin(vz, p) atoms

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from ._sampling import BATCH_STATE_CAP
 from .laws import (
     BivariateOffspringLaw,
     EnvironmentLaw,
@@ -186,8 +187,8 @@ def load_config(source: str | Path | dict[str, Any]) -> RunConfig:
     env = parse_environment(_require(model, "environment", "model"))
     imm = parse_immigration(_require(model, "immigration", "model"))
     k0 = _integer(model.get("k0", 0), "model.k0")
-    if k0 < 0:
-        raise ConfigError("k0 must be nonnegative")
+    if not 0 <= k0 <= BATCH_STATE_CAP:
+        raise ConfigError(f"k0 must be nonnegative and at most {BATCH_STATE_CAP}, got {k0}")
     seed = _integer(raw.get("seed", 0), "seed")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")

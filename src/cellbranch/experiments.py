@@ -65,9 +65,12 @@ def _map_blocks(fn, jobs: list, workers: int) -> list:
 def _lineage_block(job) -> np.ndarray:
     env, imm, k0, checkpoints, seed, block_index, count = job
     rng = substream(seed, LINEAGE_DOMAIN, block_index)
-    states = simulate_states_batch(k0, env, imm, rng, count, checkpoints=checkpoints)
-    ids = np.repeat(list(states), count)
-    return np.column_stack(merge_rows(ids, np.concatenate([*states.values()]), np.ones_like(ids)))
+    rows = []
+    for t, states in simulate_states_batch(k0, env, imm, rng, count, checkpoints).items():
+        first = np.flatnonzero(np.diff(states, prepend=-1))  # sorted: each value's first lane
+        rows.append(np.column_stack(np.broadcast_arrays(t, states[first],
+                                                        np.diff(first, append=count))))
+    return np.concatenate(rows)
 
 
 def run_lineage(

@@ -16,7 +16,7 @@ across workers; sampling always takes an externally supplied generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from enum import Enum
 from typing import Sequence, Union
 
@@ -71,6 +71,8 @@ class FiniteLaw:
         object.__setattr__(self, "_vals_arr", np.asarray(self.values, dtype=np.int64))
         object.__setattr__(self, "_probs_arr", np.asarray(self.probs, dtype=float))
         object.__setattr__(self, "_cum", np.cumsum(self._probs_arr))
+        # draws saturate at the simulators' cap, as HeavyTailLaw's do; the law stays exact
+        object.__setattr__(self, "_draws", np.minimum(self._vals_arr, BATCH_STATE_CAP))
 
     @classmethod
     def delta(cls, value: int) -> "FiniteLaw":
@@ -120,7 +122,7 @@ class FiniteLaw:
 
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         idx = np.searchsorted(self._cum, rng.random(size), side="right")
-        return self._vals_arr[np.minimum(idx, len(self.values) - 1)]
+        return self._draws[np.minimum(idx, len(self.values) - 1)]
 
 
 def _heavy_constants() -> tuple[float, float, np.ndarray]:
@@ -262,16 +264,20 @@ class EnvironmentLaw:
     ``_atoms`` is the pair table the simulators draw from: ``values``, an
     (A, 2) int64 array of every component's (a, b) pairs in order of first
     appearance, and ``probs``, a (C, A) array of each component's
-    probability on them (0 off its support).  ``_split`` is (Z law, array
-    of each component's p) for an environment that ``build_binomial_split``
-    built, where each of a parasite's Z children picks daughter 0 with
-    probability p, and None otherwise; the simulators draw such an
-    environment from Z and p while x times the largest Z fits int64.
+    probability on them (0 off its support).  ``_split`` is the ``split``
+    argument, which only ``build_binomial_split`` passes and a replaced copy
+    drops: (Z law, array of each component's p), each of a parasite's Z
+    children going to daughter 0 with probability p; the simulators draw it
+    so while x times the largest Z fits int64.  ``_brood`` is (z, p) when v
+    parasites split as Bin(vz, p): (0, 0.5) if every pair is (0, 0), else a
+    one-component split of a one-atom Z with 0 < p < 1; or None.
+    ``_means`` holds each component's (m0, m1).
     """
 
     components: tuple[tuple[BivariateOffspringLaw, float], ...]
+    split: InitVar[tuple[FiniteLaw, np.ndarray] | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, split):
         if not self.components:
             raise ValueError("environment needs at least one component")
         weights = _check_probs(
@@ -289,7 +295,12 @@ class EnvironmentLaw:
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "_cum", np.cumsum(weights))
         object.__setattr__(self, "_atoms", (values, probs))
-        object.__setattr__(self, "_split", None)
+        object.__setattr__(self, "_split", split)
+        z, ps = split or (None, ())
+        one = len(ps) == 1 and len(z.values) == 1 and 0 < ps[0] < 1
+        brood = (0, 0.5) if not values.any() else (z.values[0], float(ps[0])) if one else None
+        object.__setattr__(self, "_brood", brood)
+        object.__setattr__(self, "_means", np.array([(law.m0, law.m1) for law, _ in comps]))
 
     @property
     def laws(self) -> tuple[BivariateOffspringLaw, ...]:
@@ -358,9 +369,7 @@ def build_binomial_split(
                 support.append(((a, z - a), prob))
                 comb = comb * (z - a) // (a + 1)
         comps.append((BivariateOffspringLaw(tuple(support)), w))
-    env = EnvironmentLaw(tuple(comps))
-    object.__setattr__(env, "_split", (z_law, np.array([float(p) for p, _ in p_values])))
-    return env
+    return EnvironmentLaw(tuple(comps), split=(z_law, np.array([float(p) for p, _ in p_values])))
 
 
 def build_cluster_split(

@@ -219,7 +219,7 @@ def batch_step(
     sides = rng.integers(0, 2, size=len(states))
     new = divide(states, env, comps, imm, rng, keep=sides)[0]
     if means_out is not None:
-        means_out[:] = np.array([(law.m0, law.m1) for law in env.laws])[comps, sides]
+        means_out[:] = env._means[comps, sides]
     return new
 
 
@@ -261,7 +261,7 @@ def simulate_normalized_batch(
     log_pi = np.zeros(n_paths)
     step_means = np.empty(n_paths)
     # one math.log per realized marginal mean: np.log can differ from it in the last bit
-    means = np.unique([(law.m0, law.m1) for law in env.laws])
+    means = np.unique(env._means)
     logs = np.array([math.log(m) if m > 0.0 else -math.inf for m in means])
 
     def advance(states):

@@ -144,8 +144,8 @@ def check_stationary_tree(seed: int = DEFAULT_SEED) -> Iterator[_Verdict]:
     leaves = EmpiricalMeasure.from_counts(dict(enumerate(np.bincount(values, counts))))
     est = stationary_by_regeneration(env, imm, _rng(seed, 31), excursions=10**5)
     tvs = {
-        "dfs-vs-kernel": tv_distance(leaves, exact.pmf),
-        "dfs-vs-regeneration": tv_distance(leaves, est.measure),
+        "leaves-vs-kernel": tv_distance(leaves, exact.pmf),
+        "leaves-vs-regeneration": tv_distance(leaves, est.measure),
         "regeneration-vs-kernel": tv_distance(est.measure, exact.pmf),
     }
     for pair, tv in tvs.items():

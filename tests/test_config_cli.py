@@ -574,6 +574,18 @@ class TestNegativeSeed:
         assert "--seed must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k0, message", [(-1, "nonnegative"), (2**53 + 1, "at most"),
+                                        (2**64, "at most")])
+def test_start_state_outside_the_cap_exits_two(tmp_path, capsys, k0, message):
+    experiment = {"kind": "lineage", "n": 3, "replicates": 10}
+    cfg = write_config(tmp_path, {"model": {**BASE_MODEL, "k0": k0}, "experiment": experiment})
+    assert main(["lineage", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "k0 must be" in err and message in err
+    assert not (tmp_path / "o").exists()
+    assert load_config({"model": {**BASE_MODEL, "k0": 2**53}}).k0 == 2**53
+
+
 @pytest.mark.parametrize(
     "experiment",
     [{"kind": "lineage", "n": 3, "replicates": 20_000}, {"kind": "tree", "n": 3, "replicates": 20}],

@@ -1,6 +1,8 @@
 """Binary-tree population checks: ledger exactness, traversal law equality."""
 
+import dataclasses
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from cellbranch import _sampling, lineage
 from cellbranch._sampling import (
-    BATCH_STATE_CAP, binomial_brood, divide_rows, ledger_step, multinomial_counts,
+    BATCH_STATE_CAP, divide_rows, ledger_step, multinomial_counts, start_lanes,
 )
 from cellbranch.config import ConfigError
 from cellbranch.experiments import TREE_DOMAIN, run_tree, substream
@@ -20,6 +22,7 @@ from cellbranch.laws import (
     ImmigrationPair,
     build_binomial_split,
     build_cluster_split,
+    uniform_grid_p,
 )
 from cellbranch.lineage import batch_step, simulate_path, simulate_states_batch
 from cellbranch.oracle import build_kernel, propagate, stationary_solve, survival_no_immigration
@@ -168,6 +171,45 @@ class TestSplitDraws:
         assert split_z == z and list(ps) == [0.3, 0.8]
         assert build_cluster_split(z, [(0.3, 1.0)])._split is None
         assert _atoms_env()._split is None
+
+    @pytest.mark.parametrize("env, brood", [
+        (dying_environment(), (0, 0.5)),
+        (split_environment(2, 0.3), (2, 0.3)),
+        (split_environment(2, 0.0), None),
+        (split_environment(2, 1.0), None),
+        (build_binomial_split(FiniteLaw((1, 3), (0.5, 0.5)), [(0.3, 1.0)]), None),
+        (build_binomial_split(FiniteLaw.delta(2), uniform_grid_p(4)), None),
+        (build_cluster_split(FiniteLaw.delta(2), [(0.5, 1.0)]), None),
+        (EnvironmentLaw(((BivariateOffspringLaw.delta(0, 0), 0.5),) * 2), (0, 0.5)),
+        (build_binomial_split(FiniteLaw.delta(0), [(0.3, 1.0)]), (0, 0.5)),
+    ], ids=["dying", "split", "p-zero", "p-one", "multi-atom-z", "uniform-grid", "cluster",
+            "explicit-zero", "z-zero"])
+    def test_environment_records_its_brood_and_means(self, env, brood):
+        assert env._brood == brood
+        assert env._means.tolist() == [[law.m0, law.m1] for law in env.laws]
+
+    def test_split_is_fixed_at_construction(self):
+        env = _split_env()
+        copy = pickle.loads(pickle.dumps(env))  # as sent to --workers processes
+        assert copy == env and hash(copy) == hash(env)
+        assert copy._split[0] == env._split[0] and list(copy._split[1]) == [0.3, 0.8]
+        # a replaced environment is built afresh: no split carried over to new components
+        cluster = build_cluster_split(FiniteLaw.delta(2), [(0.5, 1.0)]).components
+        assert dataclasses.replace(env, components=cluster)._split is None
+        assert dataclasses.replace(env) == env
+
+    def test_contamination_atoms_past_int64_saturate(self):
+        # an atom near 2**63 added to a daughter once wrapped to a negative count
+        big = FiniteLaw((0, 2**63 - 1), (0.5, 0.5))
+        env, imm = split_environment(2), ImmigrationPair(big, big)
+        rng = np.random.default_rng(3)
+        runs = [led.values for led in simulate_tree_bfs(1, 3, env, imm, rng)]
+        runs += [values for _, _, values, _ in iter_forest_bfs(1, 3, env, imm, rng, 4)]
+        runs += list(simulate_states_batch(1, env, imm, rng, 64, [1, 2, 3]).values())
+        runs.append(simulate_path(1, 8, env, imm, rng).states)
+        for values in runs:
+            assert values.min() >= 0 and values.max() <= BATCH_STATE_CAP
+        assert big.values == (0, 2**63 - 1)  # the law itself stays exact
 
     def test_split_environment_draws_every_cell_at_once(self):
         # one brood total per cell, then one binomial over all cells with each cell's own p
@@ -622,7 +664,7 @@ class TestLedgerEngine:
         exact = self.exact_daughters(0.3)
         rng = np.random.default_rng(20)
         c = 20_000
-        assert binomial_brood(env) == (2, 0.3)
+        assert env._brood == (2, 0.3)
         rows = (np.zeros(2, dtype=np.int64), np.array([0, 3]), np.array([c, c]))
         _, values, counts = tree_step(rows, env, imm, rng)
         bulk = EmpiricalMeasure.from_counts(dict(zip(values.tolist(), counts.tolist())))
@@ -639,7 +681,7 @@ class TestLedgerEngine:
         tree_step(rows, env, ImmigrationPair.zero(), rng)
         advance_generation(np.full(7, 3), env, ImmigrationPair.zero(), twin)
         assert rng.bit_generator.state == twin.bit_generator.state
-        assert binomial_brood(_split_env()) is None and binomial_brood(dying_env()) == (0, 0.5)
+        assert _split_env()._brood is None and dying_env()._brood == (0, 0.5)
 
     def test_critical_trees_at_depth_forty(self):
         env, zero, n_trees, depth = split_environment(2), ImmigrationPair.zero(), 20, 40
@@ -783,6 +825,16 @@ def coin_imm():
 def test_negative_start_rejected(run):
     with pytest.raises(ValueError, match="nonnegative"):
         run(np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("k0", [BATCH_STATE_CAP + 1, 2**64])
+def test_start_above_the_cap_rejected(k0):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="at most"):
+        simulate_path(k0, 2, sub_env(), toy_imm(), rng)
+    with pytest.raises(ValueError, match="at most"):
+        list(iter_forest_bfs(k0, 2, sub_env(), toy_imm(), rng, 2))
+    assert start_lanes(BATCH_STATE_CAP, 2).tolist() == [BATCH_STATE_CAP] * 2
 
 
 @pytest.mark.parametrize(
