@@ -133,27 +133,18 @@ def bulk_rows(values: np.ndarray, counts: np.ndarray, brood, imm: ImmigrationPai
 def pair_counts(n: np.ndarray, c: np.ndarray, p: float, rng) -> list[np.ndarray]:
     """(row i, s0, pairs) for each s0 that some of c[i] pairs with s0 ~ Bin(n[i], p) took.
 
-    Each row is one multinomial over its pmf.  Rows whose widths n + 1 are
-    within a factor two share one zero-padded table, so a table holds at
-    most twice the atoms it draws; width-1 rows (n = 0) draw nothing.
+    One multinomial draws every row from one table, each row's pmf padded with zeros
+    to the widest row's n + 1: rows x (max n + 1) entries, one column (no draw) if all n = 0.
     """
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n.max() + 1)))))
-    level = np.frexp(n + 1.0)[1]
-    parts = []
-    for b in np.unique(level):
-        rows = np.flatnonzero(level == b)
-        if b == 1:  # n = 0: all c[i] pairs are (0, 0)
-            parts.append((rows, n[rows], c[rows]))
-            continue
-        top = n[rows, None]
-        k = np.arange(top.max() + 1)
-        j = np.minimum(k, top)
-        log_pmf = log_fact[top] - log_fact[j] - log_fact[top - j]
-        pmf = np.exp(log_pmf + j * math.log(p) + (top - j) * math.log1p(-p)) * (k <= top)
-        draws = multinomial_counts(rng, c[rows], pmf / pmf.sum(axis=1, keepdims=True))
-        i, s0 = np.nonzero(draws)
-        parts.append((rows[i], s0, draws[i, s0]))
-    return [np.concatenate(x) for x in zip(*parts)]
+    k = np.arange(n.max() + 1)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(k[1:]))))
+    top = n[:, None]
+    j = np.minimum(k, top)
+    log_pmf = log_fact[top] - log_fact[j] - log_fact[top - j]
+    pmf = np.exp(log_pmf + j * math.log(p) + (top - j) * math.log1p(-p)) * (k <= top)
+    draws = multinomial_counts(rng, c, pmf / pmf.sum(axis=1, keepdims=True))
+    row, s0 = np.nonzero(draws)
+    return [row, s0, draws[row, s0]]
 
 
 def divide_rows(values, counts, brood, imm, rng, keep_one=False) -> list[np.ndarray]:

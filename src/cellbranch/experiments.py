@@ -227,6 +227,9 @@ def run_experiment(cfg: RunConfig, out_dir: Path, workers: int = 1) -> list[str]
         unknown = [q for q in quantities if q not in _ORACLE_QUANTITIES]
         if unknown:
             raise ConfigError(f"unknown oracle quantities {unknown}, expected {_ORACLE_QUANTITIES}")
+        if cfg.k0 > K and {"pmf", "hitting_tail"} & set(quantities):  # both start from k0
+            raise ConfigError(
+                f"pmf and hitting_tail start from k0={cfg.k0}, past the truncation K={K}")
         kernel = build_kernel(cfg.env, cfg.imm, K, overflow_budget=budget)
         if "pmf" in quantities:
             result = propagate(kernel, cfg.k0, n)

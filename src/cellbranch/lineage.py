@@ -107,6 +107,8 @@ def _excursions(
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
+    if n < 1:
+        raise ValueError(f"need at least one excursion, got {n}")
     times = np.full(n, cap, dtype=np.int64)
     capped = np.zeros(n, dtype=bool)
     visits: dict[int, int] = {}

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cellbranch import verify
+from cellbranch import _sampling, experiments, verify
 from cellbranch.cli import main
 from cellbranch.config import ConfigError, load_config
 from cellbranch.laws import FiniteLaw, HeavyTailLaw
@@ -290,6 +290,39 @@ class TestCli:
         assert "nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "o" / "oracle_pmf.csv").exists()
 
+    @pytest.mark.parametrize("quantities", [["pmf"], ["hitting_tail"], ["stationary", "pmf"]],
+                             ids=["pmf", "hitting-tail", "stationary-and-pmf"])
+    def test_oracle_start_past_the_truncation_exits_two(
+        self, tmp_path, capsys, monkeypatch, quantities
+    ):
+        monkeypatch.setattr(experiments, "build_kernel", None)  # refused before any kernel
+        model = dict(BASE_MODEL, k0=600)
+        experiment = {"kind": "oracle", "K": 64, "n": 10, "quantities": quantities}
+        cfg = write_config(tmp_path, {"model": model, "experiment": experiment})
+        out = tmp_path / "o"
+        assert main(["oracle", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "k0=600, past the truncation K=64" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_oracle_start_past_the_truncation_is_fine_when_unused(self, tmp_path):
+        model = dict(BASE_MODEL, k0=600)
+        experiment = {"kind": "oracle", "K": 64, "n": 10, "quantities": ["stationary"]}
+        cfg = write_config(tmp_path, {"model": model, "experiment": experiment})
+        assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "oracle_stationary.csv").exists()
+
+    def test_tree_over_the_row_budget_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(_sampling, "_ROW_BUDGET", 2**10)
+        model = {"environment": {"builder": "binomial_split",
+                                 "z": {"kind": "finite", "values": [4], "probs": [1.0]},
+                                 "p_values": [[0.5, 1.0]]},
+                 "immigration": {"mode": "zero"}, "k0": 1}
+        experiment = {"kind": "tree", "n": 20, "replicates": 1}
+        cfg = write_config(tmp_path, {"model": model, "experiment": experiment})
+        assert main(["tree", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 1
+        assert "simulation error: DepthTooLarge" in capsys.readouterr().err
+        assert not (tmp_path / "t" / "tree_ledgers.csv").exists()
+
     @pytest.mark.parametrize(
         "command, path, value, message",
         [
@@ -361,6 +394,14 @@ class TestCli:
              {"builder": "explicit_bivariate",
               "components": [{"support": [{"j": 0, "k": 1, "p": 1.0}]}]},
              "model.environment.components[0].support[0] must be a [j, k, prob] list"),
+            ("lineage", ("model", "environment", "builder"), "nope", "unknown builder 'nope'"),
+            ("lineage", ("model", "immigration", "mode"), "nope",
+             "unknown immigration mode 'nope'"),
+            ("lineage", ("model", "environment", "z"), {"kind": "heavy_tail"},
+             "reproduction law must be finite"),
+            ("lineage", ("model", "environment", "p_values"), 0.5,
+             "p_values in model.environment must be a list or {'uniform_grid': n}"),
+            ("lineage", ("experiment", "checkpoints"), 5, "checkpoints must be a list, got 5"),
         ],
         ids=["p-value-not-a-pair", "grid-not-an-int", "z-values-not-a-list", "support-not-triples",
              "n-not-an-int", "immigration-not-an-object", "output-not-an-object",
@@ -371,7 +412,9 @@ class TestCli:
              "prob-a-bool", "prob-nan", "y0-prob-a-string", "p-value-a-string", "p-value-a-bool", "support-prob-a-string",
              "weight-a-string", "p-value-an-object", "p-value-a-two-letter-string",
              "p-value-short-second-entry", "p-value-a-triple", "support-short-third-entry",
-             "support-entry-of-four", "support-entry-an-object"],
+             "support-entry-of-four", "support-entry-an-object", "unknown-builder",
+             "unknown-immigration-mode", "z-heavy-tail", "p-values-a-number",
+             "checkpoints-not-a-list"],
     )
     def test_wrong_json_type_exits_two(self, tmp_path, capsys, command, path, value, message):
         config = {

@@ -254,6 +254,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             BivariateOffspringLaw((((-1, 0), 1.0),))
 
+    def test_offspring_support_not_empty(self):
+        with pytest.raises(ValueError, match="at least one support pair"):
+            BivariateOffspringLaw(())
+
+    @pytest.mark.parametrize("build", [build_binomial_split, build_cluster_split])
+    @pytest.mark.parametrize("p", [-0.1, 1.5])
+    def test_split_probability_outside_unit_interval(self, build, p):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            build(FiniteLaw.delta(2), [(p, 1.0)])
+
 
 class TestFiniteLaw:
     def test_rejects_bad_sum(self):

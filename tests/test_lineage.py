@@ -291,6 +291,20 @@ def test_negative_start_rejected(run):
 @pytest.mark.parametrize(
     "run",
     [
+        pytest.param(lambda *model: collect_hitting_times(0, *model, samples=0),
+                     id="collect_hitting_times"),
+        pytest.param(lambda *model: stationary_by_regeneration(*model, excursions=0),
+                     id="stationary_by_regeneration"),
+    ],
+)
+def test_zero_excursions_rejected(run):
+    with pytest.raises(ValueError, match="at least one excursion"):
+        run(*toy_chain(), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
         pytest.param(lambda *model: simulate_states_batch(0, *model, 4, [-1, 5]),
                      id="simulate_states_batch"),
         pytest.param(lambda *model: simulate_normalized_batch(0, *model, 4, [-2, 3]),

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from cellbranch import _sampling, lineage
 from cellbranch._sampling import (
-    BATCH_STATE_CAP, divide_rows, ledger_step, multinomial_counts, start_lanes,
+    BATCH_STATE_CAP, divide_rows, ledger_step, multinomial_counts, pair_counts, start_lanes,
 )
 from cellbranch.config import ConfigError
 from cellbranch.experiments import TREE_DOMAIN, run_tree, substream
@@ -19,6 +19,7 @@ from cellbranch.laws import (
     BivariateOffspringLaw,
     EnvironmentLaw,
     FiniteLaw,
+    HeavyTailLaw,
     ImmigrationPair,
     build_binomial_split,
     build_cluster_split,
@@ -483,6 +484,15 @@ class TestParasiteTotals:
         with pytest.raises(ValueError):
             collapsed_total_law(env)
 
+    @pytest.mark.parametrize("imm, message", [
+        (ImmigrationPair(FiniteLaw.bernoulli(0.5), HeavyTailLaw()), "finite contamination"),
+        (ImmigrationPair(FiniteLaw.bernoulli(0.5), FiniteLaw.delta(0)), "state-independent"),
+    ], ids=["heavy-tail", "state-dependent"])
+    def test_totals_shortcut_refuses(self, imm, message):
+        env, _ = self.gw_setup(2)
+        with pytest.raises(ValueError, match=message):
+            simulate_parasite_totals(env, imm, 0, 3, np.random.default_rng(15), n_runs=4)
+
     def test_mean_totals_after_three_generations(self):
         # growth mean 4 and half an immigrant per daughter: expected total 28
         env, imm = self.gw_setup(4)
@@ -682,6 +692,39 @@ class TestLedgerEngine:
         advance_generation(np.full(7, 3), env, ImmigrationPair.zero(), twin)
         assert rng.bit_generator.state == twin.bit_generator.state
         assert _split_env()._brood is None and dying_env()._brood == (0, 0.5)
+
+    @staticmethod
+    def binomial_pmf(n, p):
+        return np.array([math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)])
+
+    def test_rows_of_every_width_draw_from_one_table(self):
+        # one call over widths 1 to 801: each row's s0 follows its own Bin(n, p)
+        n, c, p = np.array([0, 2, 14, 120, 800]), np.full(5, 10**6), 0.3
+        row, s0, pairs = pair_counts(n, c, p, np.random.default_rng(30))
+        assert (s0 <= n[row]).all() and pairs.min() > 0
+        assert np.bincount(row, pairs).tolist() == c.tolist()
+        for i in range(n.size):
+            measure = np.bincount(s0[row == i], pairs[row == i]) / c[i]
+            assert tv_distance(measure, self.binomial_pmf(int(n[i]), p)) < 0.01
+
+    def test_rows_at_zero_alone_draw_nothing(self):
+        rng = np.random.default_rng(31)
+        before = rng.bit_generator.state
+        row, s0, pairs = pair_counts(np.zeros(3, np.int64), np.array([4, 9, 2]), 0.5, rng)
+        assert rng.bit_generator.state == before
+        assert row.tolist() == [0, 1, 2] and not s0.any() and pairs.tolist() == [4, 9, 2]
+
+    def test_cell_line_keeps_one_daughter_of_every_width(self):
+        # of each pair one daughter, s0 or vz - s0 with chance 1/2 each
+        values, c, p = np.array([0, 1, 7, 60, 400]), np.full(5, 10**6), 0.3
+        row, kept, n_kept = divide_rows(values, c, (2, p), ImmigrationPair.zero(),
+                                        np.random.default_rng(32), keep_one=True)
+        assert np.bincount(row, n_kept).tolist() == c.tolist()
+        for i, v in enumerate(values.tolist()):
+            # daughter 0's rows and daughter 1's may share a value: summed here
+            measure = np.bincount(kept[row == i], n_kept[row == i]) / c[i]
+            exact = (self.binomial_pmf(2 * v, p) + self.binomial_pmf(2 * v, 1 - p)) / 2
+            assert tv_distance(measure, exact) < 0.01
 
     def test_critical_trees_at_depth_forty(self):
         env, zero, n_trees, depth = split_environment(2), ImmigrationPair.zero(), 20, 40
