@@ -28,6 +28,7 @@ from .oracle import (
     stationary_solve,
 )
 from .runio import write_csv, write_json, write_manifest
+from .stats import tv_distance
 from .tree import _check_depth, simulate_tree_bfs, simulate_tree_dfs
 
 LINEAGE_DOMAIN = 1
@@ -254,6 +255,12 @@ def run_experiment(cfg: RunConfig, out_dir: Path, workers: int = 1) -> list[str]
             ]
             write("oracle_stationary.csv", write_csv,
                   ("state", "power_iteration", "excursion_formula"), rows)
+            stationary = {
+                "escape_rate": result.escape_rate,
+                "iterations": result.iterations,
+                "route_gap": tv_distance(result.pmf, result.excursion),
+            }
+            write("oracle_stationary.json", write_json, stationary)
         if "hitting_tail" in quantities:
             tail = hitting_tail(kernel, cfg.k0, n)
             rows = [(i + 1, repr(float(t))) for i, t in enumerate(tail)]

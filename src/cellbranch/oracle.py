@@ -8,6 +8,11 @@ These routines are the ground truth that the Monte Carlo simulators are
 validated against, so overflow is always tracked and never silently
 renormalized.
 
+The kernel rows come from one recursion for every immigration law, finite or
+heavy-tailed: the x-fold offspring powers are started at the contamination
+law, so each row is a sum of nonnegative products, exact to roundoff, with no
+convolution or transform of its own.
+
 Only arithmetic that can be nonzero is done.  Each step multiplies the
 nonzero prefix of the iterated vector against the columns that prefix can
 reach (the kernel records how far each row's nonzero prefix extends), so a
@@ -39,11 +44,6 @@ from .laws import (
 )
 
 MASS_TOL = 1e-10
-
-# Rows convolved with heavy-tail immigration per FFT pair: the transforms of a
-# block stay around 1 MB at K=2048.
-_FFT_BLOCK = 32
-
 
 class TruncationTooSmall(ValueError):
     """A kernel row leaks more mass past the truncation than the budget allows."""
@@ -118,24 +118,25 @@ def build_kernel(
 ) -> TruncatedKernel:
     """Assemble the truncated one-step kernel of the random cell line.
 
-    Row x mixes, over every realized daughter-side marginal of the
-    environment, the x-fold convolution of that marginal (all parasites of a
-    cell reproduce in the same realized environment), then convolves with the
+    Row x mixes, over every realized daughter-side marginal P_i of the
+    environment, the x-fold convolution P_i^x (all parasites of a cell
+    reproduce in the same realized environment) convolved with the
     immigration law for state x.  Mass above K accumulates in the overflow
     column.  A finite-law row whose overflow exceeds ``overflow_budget``
     raises; heavy-tail immigration is exempt and only flagged.
 
-    The rows are built in one pass over x.  The x-fold powers of all M
-    marginals sit side by side in one (K+1, M) array, advanced from x-1 by one
-    shifted multiply-add per atom of the marginals' joint support (s atoms,
-    the largest s_max), then mixed by the marginal weights.  Only the nonzero
-    prefix of that mixture, min(x * s_max, K) + 1 entries, is convolved with
-    the immigration pmf cut after its last atom.  For finite laws a row costs
-    O(K * (M * s + |supp Y|)).  Heavy-tail immigration fills 0..K, so its rows
-    are convolved by FFT, ``_FFT_BLOCK`` mixtures per transform pair against
-    one transform of the immigration pmf, at O(K log K) per row; negative
-    roundoff is clipped to zero.  The running maximum of the rows' nonzero
-    prefix lengths is kept for the trimmed steps.
+    The rows are built in one pass over x, one recursion for every
+    immigration law.  The products P_i^x * y1 of all M marginals sit side by
+    side in one (K+1, M) array that starts at y1 (cut after its last atom)
+    and is advanced from x-1 by one shifted multiply-add per atom of the
+    marginals' joint support (s atoms, the largest s_max), since
+    P_i^x * y1 = P_i * (P_i^(x-1) * y1).  Entries past K only move further
+    right, so cutting each product at K loses nothing a later row reads.
+    Row x is the weighted mix of the nonzero prefix, min(x * s_max + len(y1)
+    - 1, K) + 1 entries, at O(K * M * s) per row.  Every entry is a sum of
+    nonnegative products, so small entries keep their relative accuracy.
+    The running maximum of the rows' nonzero prefix lengths is kept for the
+    trimmed steps.
     """
     if K < 0:
         raise ValueError(f"truncation K must be nonnegative, got {K}")
@@ -155,46 +156,27 @@ def build_kernel(
     y0_pmf, _ = imm.y0.pmf_array(size)
     y1_pmf, _ = imm.y1.pmf_array(size)
     y1_head = y1_pmf[: np.flatnonzero(y1_pmf).max(initial=0) + 1]
-    heavy_rows = isinstance(imm.y1, HeavyTailLaw)
-    if heavy_rows:
-        # The atom at zero is added directly and only the rest is transformed:
-        # it holds half of the law's mass, so this halves the FFT roundoff.
-        y1_rest = y1_head.copy()
-        y1_rest[0] = 0.0
-        fft_len = _smooth_length(2 * size - 1)
-        y1_hat = np.fft.rfft(y1_rest, fft_len)
-        block = np.zeros((min(_FFT_BLOCK, K), size))
     matrix = np.zeros((size, size))
     matrix[0] = y0_pmf
     lengths = np.full(size, size)
     lengths[0] = np.flatnonzero(y0_pmf).max(initial=0) + 1
-    # Past each power's prefix both buffers (and the FFT block) hold zeros:
-    # prefixes never shrink.
+    # power[:, i] holds P_i^x * y1 cut at K; past its prefix both buffers hold
+    # zeros: prefixes never shrink.
     power = np.zeros_like(pmfs)
-    power[0] = 1.0
+    power[: len(y1_head)] = y1_head[:, None]
     nxt = np.zeros_like(pmfs)
     for x in range(1, size):
-        n = min(x * reach, K) + 1
+        n = min(x * reach + len(y1_head) - 1, K) + 1
         nxt[:n] = 0.0
         for a in atoms:
             nxt[a:n] += power[: n - a] * pmfs[a]
         power, nxt = nxt, power
-        if heavy_rows:
-            slot = (x - 1) % _FFT_BLOCK
-            block[slot, :n] = power[:n] @ weights
-            if slot == _FFT_BLOCK - 1 or x == K:
-                mixes = block[: slot + 1]
-                rows = np.fft.irfft(np.fft.rfft(mixes, fft_len) * y1_hat, fft_len)[:, :size]
-                rows += y1_head[0] * mixes
-                matrix[x - slot : x + 1] = np.clip(rows, 0.0, None)
-        else:
-            row = np.convolve(power[:n] @ weights, y1_head)[:size]
-            matrix[x, : len(row)] = row
-            lengths[x] = len(row)
+        matrix[x, :n] = power[:n] @ weights
+        lengths[x] = n
     overflow = 1.0 - matrix.sum(axis=1)
     np.clip(overflow, 0.0, None, out=overflow)
 
-    heavy = isinstance(imm.y0, HeavyTailLaw) or heavy_rows
+    heavy = isinstance(imm.y0, HeavyTailLaw) or isinstance(imm.y1, HeavyTailLaw)
     if overflow_budget is not None and not heavy and overflow.max() > overflow_budget:
         raise TruncationTooSmall(
             f"row overflow {overflow.max():.3e} exceeds budget {overflow_budget:.1e} at K={K}"
@@ -205,22 +187,6 @@ def build_kernel(
         heavy_truncated=heavy,
         _reach=np.maximum.accumulate(lengths),
     )
-
-
-def _smooth_length(n: int) -> int:
-    """Smallest 2^a * 3^b * 5^c >= n: a length the FFT handles fast."""
-    best = 1 << (n - 1).bit_length()
-    odd = 1
-    while odd < best:
-        odd3 = odd
-        while odd3 < best:
-            length = odd3
-            while length < n:
-                length *= 2
-            best = min(best, length)
-            odd3 *= 3
-        odd *= 5
-    return best
 
 
 def _step(v: np.ndarray, matrix: np.ndarray, reach: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from cellbranch import _sampling, experiments, verify
 from cellbranch.cli import main
 from cellbranch.config import ConfigError, load_config
 from cellbranch.laws import FiniteLaw, HeavyTailLaw
+from cellbranch.presets import subcritical_geometric
 from cellbranch.runio import write_csv
 
 BASE_MODEL = {
@@ -26,6 +27,10 @@ BASE_MODEL = {
     },
     "k0": 0,
 }
+
+
+_GEOMETRIC = subcritical_geometric()[1].y1
+GEOMETRIC = {"kind": "finite", "values": list(_GEOMETRIC.values), "probs": list(_GEOMETRIC.probs)}
 
 
 def write_config(tmp_path: Path, payload: dict) -> Path:
@@ -190,11 +195,30 @@ class TestCli:
             "oracle_pmf.csv",
             "oracle_renewal.json",
             "oracle_stationary.csv",
+            "oracle_stationary.json",
             "oracle_hitting_tail.csv",
         ):
             assert (tmp_path / "o" / name).exists()
         renewal = json.loads((tmp_path / "o" / "oracle_renewal.json").read_text())
         assert renewal["u_infinity"] == pytest.approx(1.0 / renewal["expected_return_time"])
+
+    @pytest.mark.parametrize("immigration, escapes", [
+        ({"y0": BASE_MODEL["immigration"]["y0"], "y1": {"kind": "heavy_tail"}}, True),
+        ({"y0": GEOMETRIC, "y1": GEOMETRIC}, False),
+    ], ids=["heavy-tail", "subcritical-geometric"])
+    def test_oracle_stationary_counters(self, tmp_path, immigration, escapes):
+        model = dict(BASE_MODEL, immigration=immigration)
+        experiment = {"kind": "oracle", "K": 512, "n": 10, "quantities": ["stationary"]}
+        cfg = write_config(tmp_path, {"model": model, "experiment": experiment})
+        assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        counters = json.loads((tmp_path / "o" / "oracle_stationary.json").read_text())
+        assert set(counters) == {"escape_rate", "iterations", "route_gap"}
+        assert counters["iterations"] >= 1
+        assert 0.0 <= counters["route_gap"] <= 1.0
+        if escapes:
+            assert counters["escape_rate"] > 0.0
+        else:
+            assert counters["escape_rate"] < 1e-12
 
     def test_classify(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"model": BASE_MODEL})

@@ -18,7 +18,6 @@ from cellbranch.laws import (
     uniform_grid_p,
 )
 from cellbranch.oracle import (
-    _FFT_BLOCK,
     NonConvergent,
     TruncationTooSmall,
     build_kernel,
@@ -187,15 +186,51 @@ class TestBuildKernel:
         "env, imm, K",
         [
             (*heavy_tail_contaminated(), 300),
-            # every FFT block of heavy-tail rows full, none partial
-            (*heavy_tail_contaminated(), 10 * _FFT_BLOCK),
+            (*heavy_tail_contaminated(), 320),
             (build_binomial_split(FiniteLaw.delta(4), uniform_grid_p(64)),
              ImmigrationPair.zero(), 96),
         ],
-        ids=["heavy-tail", "heavy-tail-full-blocks", "uniform-grid"],
+        ids=["heavy-tail", "heavy-tail-320", "uniform-grid"],
     )
     def test_matches_dense_reference_at_presets(self, env, imm, K):
         assert_matches_reference(env, imm, K)
+
+    def test_heavy_tail_entries_keep_relative_accuracy(self):
+        # Row x is Bin(x, 1/2) * y1: the binomial pmf from exact integers and
+        # one direct convolution, accurate even in the smallest entries.
+        K = 512
+        env, imm = heavy_tail_contaminated()
+        kernel = build_kernel(env, imm, K)
+        y1_pmf, _ = imm.y1.pmf_array(K + 1)
+        reference = np.zeros((K + 1, K + 1))
+        reference[0], _ = imm.y0.pmf_array(K + 1)
+        pascal = [1]
+        for x in range(1, K + 1):
+            pascal = [a + b for a, b in zip([0, *pascal], [*pascal, 0])]
+            binomial = np.array([c / 2**x for c in pascal])
+            reference[x] = np.convolve(binomial, y1_pmf)[: K + 1]
+        assert (kernel.matrix >= 0.0).all()
+        positive = reference > 0.0
+        assert (kernel.matrix[~positive] == 0.0).all()
+        rel = np.abs(kernel.matrix[positive] - reference[positive]) / reference[positive]
+        assert rel.max() <= 1e-13
+
+    @pytest.mark.parametrize(
+        "env, imm",
+        [
+            (subcritical_env(),
+             ImmigrationPair(FiniteLaw.bernoulli(0.5), FiniteLaw((0, 7, 40), (0.5, 0.3, 0.2)))),
+            heavy_tail_contaminated(),
+            (build_binomial_split(FiniteLaw((1, 3), (0.5, 0.5)), uniform_grid_p(8)),
+             ImmigrationPair(FiniteLaw.bernoulli(0.5), FiniteLaw((0, 5, 11), (0.6, 0.3, 0.1)))),
+        ],
+        ids=["wide-finite", "heavy-tail", "mixture"],
+    )
+    def test_reach_bounds_nonzero_prefixes(self, env, imm):
+        kernel = build_kernel(env, imm, 200, overflow_budget=None)
+        ends = np.array([np.flatnonzero(row).max(initial=-1) + 1 for row in kernel.matrix])
+        assert (np.maximum.accumulate(ends) <= kernel._reach).all()
+        assert kernel._reach[-1] <= kernel.size
 
     def test_negative_truncation_rejected(self):
         env, imm = toy_chain()
